@@ -37,10 +37,11 @@ from typing import Iterable
 from repro.observe.telemetry.registry import WALL_CLOCK_SUFFIX
 
 #: Fields excluded when comparing records for bit-identity: wall time is
-#: measured, not derived, and is the record's one nondeterministic field.
-#: The ``telemetry`` snapshot is *partly* deterministic, so
+#: measured, not derived, and a traffic point's steady-state throughput
+#: is derived from it (sweep records carry no ``refs_per_s``).  The
+#: ``telemetry`` snapshot is *partly* deterministic, so
 #: ``strip_nondeterministic`` reduces it rather than dropping it.
-NONDETERMINISTIC_FIELDS = ("wall_s",)
+NONDETERMINISTIC_FIELDS = ("wall_s", "refs_per_s")
 
 
 def strip_nondeterministic(record: dict) -> dict:
@@ -120,17 +121,19 @@ class CheckpointWriter:
         self.close()
 
 
-def canonical_lines(records: Iterable[dict]) -> list[str]:
+def canonical_lines(records: Iterable[dict], key: str = "shard") -> list[str]:
     """The byte-comparable form of a campaign's records.
 
-    Sorted by shard id, measured-time fields stripped, sorted-key JSON —
-    two campaigns over the same grid must produce *identical* lists
-    whatever transport, worker count, or resume history produced them.
-    This is what ``python -m repro sweep --canon FILE`` writes and what
-    the CI transport matrix diffs byte-for-byte.
+    Sorted by the id field ``key`` (``"shard"`` for sweeps, ``"point"``
+    for traffic campaigns), measured-time fields stripped, sorted-key
+    JSON — two campaigns over the same specs must produce *identical*
+    lists whatever transport, worker count, or resume history produced
+    them.  This is what ``python -m repro sweep --canon FILE`` writes,
+    what the CI transport matrix diffs byte-for-byte, and what
+    ``python -m repro traffic --compare`` checks.
     """
     stripped = [strip_nondeterministic(record) for record in records]
-    stripped.sort(key=lambda record: record.get("shard", ""))
+    stripped.sort(key=lambda record: record.get(key, ""))
     return [json.dumps(record, sort_keys=True) for record in stripped]
 
 

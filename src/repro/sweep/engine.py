@@ -1,4 +1,4 @@
-"""The sweep coordinator: transports, checkpoint file, merged counters.
+"""The campaign coordinator: transports, checkpoint file, heartbeats.
 
 ``run_sweep`` executes a grid's shards over a pluggable
 :class:`~repro.sweep.transport.Transport` — inline, a local process
@@ -7,6 +7,13 @@ shard's record to an append-only ``SWEEP_results.jsonl``.  The file is
 the checkpoint: re-running the same grid with ``resume=True`` skips
 every shard whose id is already recorded, so an interrupted campaign
 finishes instead of restarting.
+
+The loop itself, :func:`coordinate`, is shared with traffic campaigns
+(:func:`repro.traffic.engine.run_campaign`).  The two kinds of campaign
+differ only in the record's id field (``shard`` / ``point``), its name
+field (``sweep`` / ``campaign``) and the runner that turns a spec into
+a record; resume, checkpointing, heartbeats and worker-loss handling
+are the same code.
 
 Completion order is whatever the transport produces; nothing else is.
 A shard's record depends only on its spec (see
@@ -25,7 +32,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.observe.counters import Counters
 from repro.observe.sinks import read_jsonl_records
@@ -40,53 +47,55 @@ from repro.sweep.checkpoint import (
 )
 from repro.sweep.grid import SCHEMA, SweepGrid
 from repro.sweep.shard import run_shard_safely
-from repro.sweep.transport import Transport, make_transport
+from repro.sweep.transport import Runner, Transport, make_transport
 
 assert set(TERMINAL_STATES) == {"finished", "aborted"}, \
-    "run_sweep stamps exactly these terminal heartbeat states"
+    "coordinate stamps exactly these terminal heartbeat states"
 
 
 def read_results(
-    path: str | Path, sweep: str | None = None
+    path: str | Path, sweep: str | None = None,
+    key: str = "shard", name_field: str = "sweep",
 ) -> tuple[list[dict], int]:
     """``(records, corrupt)`` from a results file, damage-tolerant.
 
     Records are filtered to the current schema, to real results (error
     records are never checkpointed, but a hand-edited file might hold
-    anything), and — when ``sweep`` is given — to that grid name.
+    anything), and — when ``sweep`` is given — to that campaign name
+    under ``name_field``.  ``key`` is the id field (``"shard"``, or
+    ``"point"`` with ``name_field="campaign"`` for traffic results).
+    The file only ever grows, so a campaign re-run without resume
+    appends a second record for every id; the first record per
+    (name, id) is kept, so resuming over such a file neither
+    double-counts nor reports more records than the campaign has.
     Unreadable lines (including a line torn by a crash mid-write) are
     counted, not silently dropped: resume re-executes exactly the
-    shards whose lines did not survive.
+    units whose lines did not survive.
     """
     raw, corrupt = read_jsonl_records(path)
-    records = [
-        record for record in raw
-        if record.get("schema") == SCHEMA
-        and "shard" in record
-        and "error" not in record
-        and (sweep is None or record.get("sweep") == sweep)
-    ]
-    return records, corrupt
+    records: dict[tuple, dict] = {}
+    for record in raw:
+        if (record.get("schema") == SCHEMA
+                and key in record
+                and "error" not in record
+                and (sweep is None or record.get(name_field) == sweep)):
+            records.setdefault((record.get(name_field), record[key]), record)
+    return list(records.values()), corrupt
 
 
 @dataclass
-class SweepResult:
-    """Outcome of one ``run_sweep`` call."""
+class CampaignResult:
+    """Outcome of one :func:`coordinate` call (a sweep or traffic run)."""
 
-    grid: SweepGrid
     records: list[dict]
-    """Every completed record for the grid — resumed and fresh — sorted
-    by shard id."""
-    counters: Counters
-    """All shards' counter snapshots merged (resumed shards included),
-    so totals are independent of how many runs it took."""
-    executed: int
-    skipped: int
-    """Shards skipped because the results file already held them."""
-    telemetry: TelemetryRegistry = field(default_factory=TelemetryRegistry)
-    """All shards' telemetry snapshots merged — counters summed,
+    """Every completed record — resumed and fresh — sorted by id."""
+    telemetry: TelemetryRegistry
+    """All records' telemetry snapshots merged — counters summed,
     histograms merged bucket-exactly — so the deterministic part is
     identical for any worker count (pinned by the differential tests)."""
+    executed: int
+    skipped: int
+    """Units skipped because the results file already held them."""
     failures: list[dict] = field(default_factory=list)
     corrupt_lines: int = 0
     workers: int = 1
@@ -98,25 +107,130 @@ class SweepResult:
         return not self.failures
 
 
+@dataclass(kw_only=True)
+class SweepResult(CampaignResult):
+    """Outcome of one ``run_sweep`` call."""
+
+    grid: SweepGrid
+    counters: Counters
+    """All shards' counter snapshots merged (resumed shards included),
+    so totals are independent of how many runs it took."""
+
+
 def resolve_transport(
-    transport: str | Transport | None, workers: int, shard_count: int
+    transport: str | Transport | None, workers: int, shard_count: int,
+    runner: Runner | None = None, key: str = "shard",
 ) -> Transport:
-    """Turn ``run_sweep``'s transport argument into a live transport.
+    """Turn a campaign's transport argument into a live transport.
 
     ``None`` keeps the historical behavior: inline for one worker (or
     one shard — a pool would cost more than it saves), a local pool
     otherwise.  A string goes through
     :func:`~repro.sweep.transport.make_transport`; an object is used
-    as-is.  The local transports run ``run_shard_safely`` resolved from
-    this module, which is the monkeypatchable fault-injection seam the
-    tests rely on.
+    as-is.  The local transports run ``runner``, by default
+    ``run_shard_safely`` resolved from this module, which is the
+    monkeypatchable fault-injection seam the tests rely on.
     """
     if transport is None:
         transport = "inline" if workers <= 1 or shard_count <= 1 else "pool"
     if isinstance(transport, str):
         return make_transport(transport, workers=workers,
-                              runner=run_shard_safely)
+                              runner=runner or run_shard_safely, key=key)
     return transport
+
+
+def coordinate(
+    specs: list[dict],
+    name: str | None,
+    *,
+    key: str,
+    name_field: str,
+    runner: Runner,
+    workers: int = 1,
+    results_path: str | Path | None = None,
+    resume: bool = False,
+    progress: Callable[[int, int, dict], None] | None = None,
+    transport: str | Transport | None = None,
+) -> CampaignResult:
+    """Run ``specs`` as one campaign named ``name``: the shared loop.
+
+    ``key`` is the id field of specs and records, ``name_field`` the
+    record field holding the campaign name, and ``runner`` turns a spec
+    into a record (returning failures as records, never raising).
+    Everything else is documented on :func:`run_sweep`: resume reads
+    the prior records, each fresh record is appended through
+    :class:`~repro.sweep.checkpoint.CheckpointWriter` and followed by a
+    heartbeat, and a terminal heartbeat lands from a ``finally`` block.
+    """
+    started = time.perf_counter()
+    if workers <= 0:
+        raise ValueError(f"workers must be positive, got {workers}")
+
+    prior: list[dict] = []
+    corrupt = 0
+    if results_path is not None and resume:
+        prior, corrupt = read_results(results_path, name, key=key,
+                                      name_field=name_field)
+    # Only records of units this campaign names count as resumed work;
+    # stale records from an edited grid stay in the file, inert.
+    known = {spec[key] for spec in specs}
+    prior = [record for record in prior if record[key] in known]
+    completed = {record[key] for record in prior}
+    pending = [spec for spec in specs if spec[key] not in completed]
+    carrier = resolve_transport(transport, workers, len(pending),
+                                runner=runner, key=key)
+
+    telemetry = TelemetryRegistry()
+    for record in prior:
+        if "telemetry" in record:
+            telemetry.merge_snapshot(record["telemetry"])
+
+    fresh: list[dict] = []
+    failures: list[dict] = []
+    writer: CheckpointWriter | None = None
+    if results_path is not None:
+        writer = CheckpointWriter(results_path)
+        beat = heartbeat_path(results_path)
+    done = 0
+    state = "aborted"
+    try:
+        for record in carrier.run(pending):
+            done += 1
+            if "error" in record:
+                failures.append(record)
+            else:
+                fresh.append(record)
+                if "telemetry" in record:
+                    telemetry.merge_snapshot(record["telemetry"])
+                if writer is not None:
+                    # One string, one write — durable before anything
+                    # downstream (heartbeat, progress) learns of it.
+                    writer.append(record)
+                    write_heartbeat(beat, name, done, len(pending),
+                                    len(failures), telemetry,
+                                    name_field=name_field)
+            if progress is not None:
+                progress(done, len(pending), record)
+        state = "finished"
+    finally:
+        if writer is not None:
+            writer.close()
+            # The terminal beat: a follower polling the heartbeat must
+            # never spin on a campaign that is no longer running.
+            write_heartbeat(beat, name, done, len(pending), len(failures),
+                            telemetry, state=state, name_field=name_field)
+
+    return CampaignResult(
+        records=sorted(prior + fresh, key=lambda record: record[key]),
+        telemetry=telemetry,
+        executed=len(fresh) + len(failures),
+        skipped=len(prior),
+        failures=failures,
+        corrupt_lines=corrupt,
+        workers=workers,
+        transport=carrier.name,
+        wall_s=round(time.perf_counter() - started, 3),
+    )
 
 
 def run_sweep(
@@ -168,120 +282,58 @@ def run_sweep(
     included), ``"aborted"`` when the coordinator died mid-campaign —
     so followers see a dead campaign as dead, never as live forever.
     """
-    started = time.perf_counter()
-    if workers <= 0:
-        raise ValueError(f"workers must be positive, got {workers}")
-    shards = list(grid.shards())
-
-    prior: list[dict] = []
-    corrupt = 0
-    if results_path is not None and resume:
-        prior, corrupt = read_results(results_path, sweep=grid.name)
-    completed = {record["shard"] for record in prior}
-    known = {shard.id for shard in shards}
-    # Only records of shards this grid actually names count as resumed
-    # work; stale records from an edited grid stay in the file, inert.
-    prior = [record for record in prior if record["shard"] in completed & known]
-    pending = [
-        shard.spec(checked=checked)
-        for shard in shards
-        if shard.id not in completed
-    ]
-    carrier = resolve_transport(transport, workers, len(pending))
-
-    counters = Counters()
-    telemetry = TelemetryRegistry()
-    for record in prior:
-        counters.merge_snapshot(record.get("counters", {}))
-        if "telemetry" in record:
-            telemetry.merge_snapshot(record["telemetry"])
-
-    fresh: list[dict] = []
-    failures: list[dict] = []
-    writer: CheckpointWriter | None = None
-    if results_path is not None:
-        writer = CheckpointWriter(results_path)
-    done = 0
-    state = "aborted"
-    try:
-        for record in carrier.run(pending):
-            done += 1
-            if "error" in record:
-                failures.append(record)
-            else:
-                fresh.append(record)
-                counters.merge_snapshot(record.get("counters", {}))
-                if "telemetry" in record:
-                    telemetry.merge_snapshot(record["telemetry"])
-                if writer is not None:
-                    # One string, one write — durable before anything
-                    # downstream (heartbeat, progress) learns of it.
-                    writer.append(record)
-                    write_heartbeat(
-                        heartbeat_path(results_path), grid.name,
-                        done, len(pending), len(failures), telemetry,
-                    )
-            if progress is not None:
-                progress(done, len(pending), record)
-        state = "finished"
-    finally:
-        if writer is not None:
-            writer.close()
-        if results_path is not None:
-            # The terminal beat: a follower polling the heartbeat must
-            # never spin on a campaign that is no longer running.
-            write_heartbeat(
-                heartbeat_path(results_path), grid.name,
-                done, len(pending), len(failures), telemetry, state=state,
-            )
-
-    records = sorted(prior + fresh, key=lambda record: record["shard"])
-    return SweepResult(
-        grid=grid,
-        records=records,
-        counters=counters,
-        executed=len(fresh) + len(failures),
-        skipped=len(prior),
-        telemetry=telemetry,
-        failures=failures,
-        corrupt_lines=corrupt,
+    campaign = coordinate(
+        [shard.spec(checked=checked) for shard in grid.shards()],
+        grid.name,
+        key="shard",
+        name_field="sweep",
+        runner=run_shard_safely,
         workers=workers,
-        transport=carrier.name,
-        wall_s=round(time.perf_counter() - started, 3),
+        results_path=results_path,
+        resume=resume,
+        progress=progress,
+        transport=transport,
     )
+    counters = Counters()
+    for record in campaign.records:
+        counters.merge_snapshot(record.get("counters", {}))
+    return SweepResult(**vars(campaign), grid=grid, counters=counters)
 
 
 def heartbeat_path(results_path: str | Path) -> Path:
-    """Where ``run_sweep`` drops its live telemetry heartbeat."""
+    """Where a campaign drops its live telemetry heartbeat."""
     path = Path(results_path)
     return path.with_name(path.name + ".telemetry.json")
 
 
 def write_heartbeat(
     path: Path,
-    sweep: str,
+    name: str | None,
     done: int,
     total: int,
     failed: int,
     telemetry: TelemetryRegistry,
     state: str = "running",
+    name_field: str = "sweep",
 ) -> None:
     """Atomically publish campaign progress plus merged telemetry.
 
-    Write-to-temp then :func:`os.replace`, so a follower (``python -m
-    repro top --snapshot``) polling the file never reads a torn write.
-    ``state`` is ``"running"`` while shards land and one of
-    :data:`TERMINAL_STATES` from ``run_sweep``'s ``finally`` block —
+    The campaign ``name`` lands under ``name_field`` (``"sweep"``, or
+    ``"campaign"`` for traffic).  Write-to-temp then
+    :func:`os.replace`, so a follower (``python -m repro top
+    --snapshot``) polling the file never reads a torn write.
+    ``state`` is ``"running"`` while records land and one of
+    :data:`TERMINAL_STATES` from :func:`coordinate`'s ``finally`` block —
     the marker that tells followers to stop waiting.  Heartbeats are
     best-effort: an unwritable path must not fail the campaign, so OS
     errors are swallowed — but the side file must not outlive a failed
-    publish.  A sweep heartbeats every few shards; if the replace step
-    fails persistently (target directory vanished, permissions
+    publish.  A campaign heartbeats after every record; if the replace
+    step fails persistently (target directory vanished, permissions
     flipped), leaking one ``.tmp`` per beat litters the results
     directory, so cleanup rides a ``finally``.
     """
     payload = {
-        "sweep": sweep,
+        name_field: name,
         "done": done,
         "total": total,
         "failed": failed,
@@ -342,8 +394,10 @@ def marginals(records: list[dict], axis: str) -> list[tuple]:
 __all__ = [
     "NONDETERMINISTIC_FIELDS",
     "TERMINAL_STATES",
+    "CampaignResult",
     "SweepResult",
     "canonical_lines",
+    "coordinate",
     "deterministic_telemetry",
     "heartbeat_path",
     "marginals",

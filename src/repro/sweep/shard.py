@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
+from typing import Callable
 
 from repro.alloc.freelist import FreeListAllocator
 from repro.alloc.stats import fragmentation_stats, paging_internal_waste
@@ -410,14 +411,16 @@ def run_shard(spec: dict) -> dict:
     return record
 
 
-def run_shard_safely(spec: dict) -> dict:
-    """``run_shard``, with failures returned as records, never raised.
+def run_safely(run: Callable[[dict], dict], spec: dict,
+               key: str = "shard") -> dict:
+    """``run(spec)``, with failures returned as records, never raised.
 
-    The transport's unit of work: a shard that dies (an invariant
-    violation in checked mode, a bad configuration) must not tear down
-    the whole campaign, so the error travels back as an
-    ``{"shard", "error"}`` record the engine counts as failed and does
-    not checkpoint.
+    The transport's unit of work for every kind of campaign: a sweep
+    shard or a traffic point that dies (an invariant violation in
+    checked mode, a bad configuration) must not tear down the whole
+    campaign, so the error travels back as a ``{key, "error"}`` record
+    — ``key`` is the spec's id field, ``"shard"`` or ``"point"`` — that
+    the engine counts as failed and does not checkpoint.
 
     Three fault-injection seams ride in the spec, in the same spirit as
     :mod:`repro.check`'s seeded fault plans — how the tests (and the CI
@@ -428,8 +431,8 @@ def run_shard_safely(spec: dict) -> dict:
       no cleanup) — the next attempt finds the marker and runs
       normally.  Simulates a worker lost once to a transient kill.
     - ``inject_exit``: truthy — die hard on every attempt.  Simulates a
-      shard that kills any worker it lands on, for the give-up path.
-    - ``inject_print``: a string printed to stdout mid-shard, for
+      spec that kills any worker it lands on, for the give-up path.
+    - ``inject_print``: a string printed to stdout mid-run, for
       proving the stream worker's protocol channel is shielded.
     """
     marker = spec.get("inject_exit_once")
@@ -441,17 +444,23 @@ def run_shard_safely(spec: dict) -> dict:
     if spec.get("inject_print"):
         print(spec["inject_print"])
     try:
-        return run_shard(spec)
+        return run(spec)
     except Exception as error:   # noqa: BLE001 — the boundary by design
         return {
-            "shard": spec.get("shard", "?"),
+            key: spec.get(key, "?"),
             "error": f"{type(error).__name__}: {error}",
         }
+
+
+def run_shard_safely(spec: dict) -> dict:
+    """``run_shard`` behind :func:`run_safely`'s boundary."""
+    return run_safely(run_shard, spec)
 
 
 __all__ = [
     "CHECK_EVERY_OPS",
     "TRACE_CACHE_LIMIT",
+    "run_safely",
     "run_shard",
     "run_shard_safely",
 ]

@@ -40,18 +40,21 @@ TRANSPORT_NAMES = ("inline", "pool", "subprocess", "ssh:HOST[,HOST...]")
 
 
 def make_transport(name: str, workers: int = 1,
-                   runner: Runner | None = None) -> Transport:
+                   runner: Runner | None = None,
+                   key: str = "shard") -> Transport:
     """Build a transport from its CLI spelling.
 
     ``runner`` overrides the shard executor for the *local* transports
-    (inline and pool) — the fault-injection seam the tests use; stream
-    workers always run the real :func:`~repro.sweep.shard.run_shard_safely`
-    on their own host.
+    (inline and pool) — how traffic campaigns run their points, and the
+    fault-injection seam the tests use — and ``key`` names the spec id
+    field the pool's failure records carry.  Stream workers always run
+    the real :func:`~repro.sweep.shard.run_shard_safely` on their own
+    host.
     """
     if name == "inline":
         return InlineTransport(runner=runner)
     if name == "pool":
-        return PoolTransport(workers=workers, runner=runner)
+        return PoolTransport(workers=workers, runner=runner, key=key)
     if name == "subprocess":
         return StreamTransport(workers=workers)
     if name.startswith("ssh:"):

@@ -60,16 +60,16 @@ class Transport(Protocol):
 
 
 def failure_record(spec: dict, error: object, transport: str,
-                   attempts: int = 1) -> dict:
-    """The record a transport yields for a shard it could not complete.
+                   attempts: int = 1, key: str = "shard") -> dict:
+    """The record a transport yields for a spec it could not complete.
 
-    Shaped like :func:`repro.sweep.shard.run_shard_safely`'s error
-    records — ``"error"`` present, so the engine counts it failed and
-    never checkpoints it — plus the transport name and attempt count
-    for the report.
+    Shaped like :func:`repro.sweep.shard.run_safely`'s error records —
+    the spec's id under ``key`` and ``"error"`` present, so the engine
+    counts it failed and never checkpoints it — plus the transport name
+    and attempt count for the report.
     """
     return {
-        "shard": spec.get("shard", "?"),
+        key: spec.get(key, "?"),
         "error": f"{type(error).__name__}: {error}"
         if isinstance(error, BaseException) else str(error),
         "transport": transport,
@@ -80,31 +80,34 @@ def failure_record(spec: dict, error: object, transport: str,
 class RetryLedger:
     """Bounded-retry accounting shared by every transport.
 
-    Tracks transport losses per shard id.  ``record_loss`` returns
-    ``None`` while the shard still has retry budget (the caller should
-    requeue it) and a failure record once the budget is spent (the
-    caller should yield it and move on).
+    Tracks transport losses per spec id (the spec's ``key`` field:
+    ``"shard"`` or ``"point"``).  ``record_loss`` returns ``None`` while
+    the spec still has retry budget (the caller should requeue it) and a
+    failure record once the budget is spent (the caller should yield it
+    and move on).
     """
 
     def __init__(self, retries: int = DEFAULT_RETRIES,
-                 transport: str = "?") -> None:
+                 transport: str = "?", key: str = "shard") -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.retries = retries
         self.transport = transport
+        self.key = key
         self._losses: dict[str, int] = {}
 
     def losses(self, spec: dict) -> int:
-        return self._losses.get(spec.get("shard", "?"), 0)
+        return self._losses.get(spec.get(self.key, "?"), 0)
 
     def record_loss(self, spec: dict, error: object) -> dict | None:
         """Account one transport loss; requeue (None) or give up (record)."""
-        shard = spec.get("shard", "?")
-        count = self._losses.get(shard, 0) + 1
-        self._losses[shard] = count
+        unit = spec.get(self.key, "?")
+        count = self._losses.get(unit, 0) + 1
+        self._losses[unit] = count
         if count <= self.retries:
             return None
-        return failure_record(spec, error, self.transport, attempts=count)
+        return failure_record(spec, error, self.transport, attempts=count,
+                              key=self.key)
 
 
 def default_runner() -> Runner:

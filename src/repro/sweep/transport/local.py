@@ -52,25 +52,32 @@ class PoolTransport:
     worker death: every unfinished future fails with
     :class:`~concurrent.futures.BrokenExecutor`, which this transport
     converts into requeues (bounded by the ledger) on a replacement
-    pool instead of a hung campaign.  A shard that kills every pool it
-    meets becomes a failure record carrying the pool exception.
+    pool instead of a hung campaign.  One death breaks every future in
+    its pool, so the lost specs are halved round by round until the one
+    that kills its pool runs alone; only a spec lost alone can spend
+    its way to a failure record (carrying the pool exception, keyed by
+    the spec's ``key`` field), so its innocent pool-mates never do.
     """
 
     name = "pool"
 
     def __init__(self, workers: int = 2, runner: Runner | None = None,
-                 retries: int = DEFAULT_RETRIES) -> None:
+                 retries: int = DEFAULT_RETRIES, key: str = "shard") -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers
         self.runner = runner if runner is not None else default_runner()
         self.retries = retries
+        self.key = key
 
     def run(self, specs: Iterable[dict]) -> Iterator[dict]:
-        pending = list(specs)
-        ledger = RetryLedger(self.retries, transport=self.name)
-        while pending:
-            batch, pending = pending, []
+        batches = [list(specs)]
+        ledger = RetryLedger(self.retries, transport=self.name, key=self.key)
+        while batches:
+            batch = batches.pop()
+            if not batch:
+                continue
+            lost = []
             executor = ProcessPoolExecutor(
                 max_workers=min(self.workers, len(batch)),
                 mp_context=_pool_context(),
@@ -83,16 +90,18 @@ class PoolTransport:
                     try:
                         yield future.result()
                     except BrokenExecutor as error:
-                        # One hard death breaks every in-flight future;
-                        # the innocents ride the same requeue as the
-                        # shard that was actually running.
+                        # One hard death breaks every in-flight future,
+                        # so a shared pool cannot say whose it was: the
+                        # loss counts, but only a lone spec gives up.
                         failure = ledger.record_loss(spec, error)
-                        if failure is None:
-                            pending.append(spec)
+                        if failure is None or len(batch) > 1:
+                            lost.append(spec)
                         else:
                             yield failure
             finally:
                 executor.shutdown(wait=True, cancel_futures=True)
+            half = len(lost) // 2
+            batches += [lost[half:], lost[:half]]
 
 
 __all__ = ["InlineTransport", "PoolTransport"]

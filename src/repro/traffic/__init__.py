@@ -9,9 +9,13 @@ or sheds against the shared pool's watermarks and per-tenant quotas;
 queue-drain policies (:mod:`~repro.traffic.queueing`) decide who goes
 next, and the engine (:mod:`~repro.traffic.engine`) measures what an
 open system is about: queue-wait and fault-wait *distributions* under
-an offered-load axis, as mergeable log histograms.
+an offered-load axis, as mergeable log histograms.  Campaigns of points
+run on the sweep engine's coordinator (:func:`repro.sweep.engine.coordinate`),
+so checkpoints, resume, heartbeats and the bit-identity form
+(``strip_nondeterministic``, ``canonical_lines``) are the sweep's own.
 """
 
+from repro.sweep.checkpoint import strip_nondeterministic
 from repro.traffic.admission import (
     ADMIT,
     QUEUE_QUOTA,
@@ -23,16 +27,12 @@ from repro.traffic.arrivals import ARRIVAL_PROCESSES, make_arrivals
 from repro.traffic.engine import (
     DEFAULT_LOADS,
     TRAFFIC_SCHEMA,
-    TrafficCampaignResult,
     TrafficPointResult,
     build_points,
-    compare_campaigns,
     generate_sessions,
-    read_traffic_results,
     run_campaign,
     run_traffic_point,
     simulate_traffic,
-    strip_nondeterministic,
 )
 from repro.traffic.queueing import DRAIN_POLICIES, DrainPolicy, make_drain_policy
 from repro.traffic.session import ActiveSession, SessionSpec
@@ -50,14 +50,11 @@ __all__ = [
     "AdmissionController",
     "DrainPolicy",
     "SessionSpec",
-    "TrafficCampaignResult",
     "TrafficPointResult",
     "build_points",
-    "compare_campaigns",
     "generate_sessions",
     "make_arrivals",
     "make_drain_policy",
-    "read_traffic_results",
     "run_campaign",
     "run_traffic_point",
     "simulate_traffic",

@@ -7,11 +7,11 @@ and fault waits from the merged LogHistograms — the open system's
 tail under load.
 
 ``--live`` redraws a top-style view as points land; ``--resume`` skips
-points already in the results file; ``--compare`` re-runs every point
-in memory and bit-compares the deterministic fields against the
-recorded records (the reproducibility gate CI keys on).  Exit status is
-1 when any point failed or a comparison mismatched, 2 for bad
-arguments.
+points already in the results file; ``--compare`` re-runs every
+recorded point in memory and checks that its canonical lines (see
+:func:`repro.sweep.checkpoint.canonical_lines`) equal the recorded
+ones (the reproducibility gate CI keys on).  Exit status is 1 when any
+point failed or a comparison mismatched, 2 for bad arguments.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ import argparse
 import sys
 
 from repro.metrics.report import format_table, kv_table
+from repro.sweep.checkpoint import canonical_lines
 from repro.sweep.cli import default_workers
+from repro.sweep.engine import read_results
 from repro.traffic.arrivals import ARRIVAL_PROCESSES
-from repro.traffic.engine import (
-    DEFAULT_LOADS,
-    build_points,
-    compare_campaigns,
-    read_traffic_results,
-    run_campaign,
-)
+from repro.traffic.engine import DEFAULT_LOADS, build_points, run_campaign
 from repro.traffic.queueing import DRAIN_POLICIES
 
 
@@ -235,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _compare(points: list[dict], options: argparse.Namespace) -> int:
     """The reproducibility gate: fresh in-memory run vs. the record."""
-    recorded, corrupt = read_traffic_results(
-        options.results, campaign=options.name,
+    recorded, corrupt = read_results(
+        options.results, options.name, key="point", name_field="campaign",
     )
     if corrupt:
         print(f"warning: {corrupt} unreadable line(s) in {options.results}",
@@ -261,7 +257,14 @@ def _compare(points: list[dict], options: argparse.Namespace) -> int:
             print(f"FAILED {failure['point']}: {failure['error']}",
                   file=sys.stderr)
         return 1
-    mismatched = compare_campaigns(fresh.records, recorded)
+    wanted = {spec["point"] for spec in targets}
+    expected = canonical_lines(
+        [record for record in recorded if record["point"] in wanted],
+        key="point",
+    )
+    actual = canonical_lines(fresh.records, key="point")
+    mismatched = [pid for pid, mine, theirs
+                  in zip(sorted(wanted), actual, expected) if mine != theirs]
     if mismatched:
         print(f"MISMATCH: {len(mismatched)} of {len(targets)} point(s) "
               "did not reproduce:", file=sys.stderr)

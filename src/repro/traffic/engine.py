@@ -19,9 +19,9 @@ fetches serialize on one device clock (``device_free_at``): the fetch
 wait is the device queueing delay plus ``fetch_time``, all integer
 cycles, so the wait histograms — and every other field except
 ``wall_s`` / ``refs_per_s`` — are pure functions of the point spec.
-``run_campaign`` fans points over multiprocessing workers exactly like
-the sweep engine: any worker count, any completion order, and a
-``--resume`` restart all yield bit-identical deterministic records.
+``run_campaign`` runs points on the sweep engine's coordinator, so any
+worker count, any completion order, and a ``--resume`` restart all
+yield bit-identical deterministic records.
 
 Overcommit and progress
 -----------------------
@@ -35,8 +35,6 @@ left to give stalls one tick and retries — counted, never fatal.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,11 +43,11 @@ from random import Random
 from typing import Callable, Iterable
 
 from repro.errors import OutOfMemory
-from repro.observe.sinks import read_jsonl_records
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.telemetry.sketch import LogHistogram
-from repro.sweep.engine import deterministic_telemetry
-from repro.sweep.grid import derive_seed
+from repro.sweep.engine import CampaignResult, coordinate
+from repro.sweep.grid import SCHEMA, derive_seed
+from repro.sweep.shard import run_safely
 from repro.traffic.admission import (
     ADMIT,
     QUEUE_QUOTA,
@@ -61,13 +59,10 @@ from repro.traffic.arrivals import ARRIVAL_PROCESSES, make_arrivals
 from repro.traffic.queueing import DRAIN_POLICIES, make_drain_policy
 from repro.traffic.session import ActiveSession, SessionSpec, trace_length
 
-#: Record schema version written into every traffic results line.
-TRAFFIC_SCHEMA = 1
-
-#: Fields excluded from bit-identity comparisons: wall time is measured,
-#: and the steady-state throughput is derived from it.  The ``telemetry``
-#: snapshot is reduced (wall instruments stripped), not dropped.
-NONDETERMINISTIC_FIELDS = ("wall_s", "refs_per_s")
+#: Record schema version written into every traffic results line: the
+#: campaign checkpoint schema, since ``repro.sweep.engine.read_results``
+#: reads traffic results files too.
+TRAFFIC_SCHEMA = SCHEMA
 
 #: Hard cap on the drain phase after the arrival horizon closes, as a
 #: multiple of the horizon — a runaway-loop backstop, far above any
@@ -589,65 +584,13 @@ def run_traffic_point(spec: dict) -> dict:
 
 
 def run_point_safely(spec: dict) -> dict:
-    """``run_traffic_point`` with failures as records (the pool boundary)."""
-    try:
-        return run_traffic_point(spec)
-    except Exception as error:   # noqa: BLE001 — the boundary by design
-        return {
-            "point": spec.get("point", "?"),
-            "error": f"{type(error).__name__}: {error}",
-        }
+    """``run_traffic_point`` behind the shared worker boundary.
 
-
-# -- the campaign runner ---------------------------------------------------
-
-
-@dataclass
-class TrafficCampaignResult:
-    """Outcome of one ``run_campaign`` call."""
-
-    records: list[dict]
-    """Every completed record — resumed and fresh — sorted by point id."""
-    telemetry: TelemetryRegistry
-    """All points' telemetry merged exactly (bucket-sum histograms)."""
-    executed: int
-    skipped: int
-    failures: list[dict] = field(default_factory=list)
-    corrupt_lines: int = 0
-    workers: int = 1
-    wall_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def read_traffic_results(
-    path: str | Path, campaign: str | None = None
-) -> tuple[list[dict], int]:
-    """``(records, corrupt)`` from a traffic results file, damage-tolerant."""
-    raw, corrupt = read_jsonl_records(path)
-    records = [
-        record for record in raw
-        if record.get("schema") == TRAFFIC_SCHEMA
-        and "point" in record
-        and "error" not in record
-        and (campaign is None or record.get("campaign") == campaign)
-    ]
-    return records, corrupt
-
-
-def _execute(specs: list[dict], workers: int) -> Iterable[dict]:
-    if workers <= 1 or len(specs) <= 1:
-        for spec in specs:
-            yield run_point_safely(spec)
-        return
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
-    with context.Pool(processes=workers) as pool:
-        yield from pool.imap_unordered(run_point_safely, specs)
+    Failures come back as ``{"point", "error"}`` records, and the
+    ``inject_exit_once`` / ``inject_exit`` seams of
+    :func:`repro.sweep.shard.run_safely` apply to point specs too.
+    """
+    return run_safely(run_traffic_point, spec, key="point")
 
 
 def run_campaign(
@@ -656,119 +599,44 @@ def run_campaign(
     results_path: str | Path | None = None,
     resume: bool = False,
     progress: Callable[[int, int, dict], None] | None = None,
-) -> TrafficCampaignResult:
-    """Execute ``points``, checkpointing like the sweep engine.
+) -> CampaignResult:
+    """Execute ``points`` on the sweep coordinator.
 
-    The results file is append-only JSONL; ``resume=True`` skips points
-    whose ids are already recorded for the same campaign name.  Merged
-    telemetry folds resumed records in, so campaign totals are
-    independent of how many runs it took — and of ``workers``.
+    The loop is :func:`repro.sweep.engine.coordinate`, keyed by
+    ``point`` and named by ``campaign``, so everything
+    :func:`~repro.sweep.engine.run_sweep` documents holds here: the
+    results file is append-only JSONL written one ``os.write`` per
+    record, ``resume=True`` skips points already recorded for the same
+    campaign name, a worker that dies hard is retried on a fresh pool
+    instead of hanging the campaign, and a heartbeat at
+    ``<results_path>.telemetry.json`` ends in a ``finished`` or
+    ``aborted`` state.  Merged telemetry folds resumed records in, so
+    campaign totals are independent of how many runs it took — and of
+    ``workers``.
     """
-    started = time.perf_counter()
-    if workers <= 0:
-        raise ValueError(f"workers must be positive, got {workers}")
-    campaign = points[0]["campaign"] if points else None
-
-    prior: list[dict] = []
-    corrupt = 0
-    if results_path is not None and resume:
-        prior, corrupt = read_traffic_results(results_path, campaign=campaign)
-    completed = {record["point"] for record in prior}
-    known = {spec["point"] for spec in points}
-    prior = [record for record in prior
-             if record["point"] in completed & known]
-    pending = [spec for spec in points if spec["point"] not in completed]
-
-    telemetry = TelemetryRegistry()
-    for record in prior:
-        if "telemetry" in record:
-            telemetry.merge_snapshot(record["telemetry"])
-
-    fresh: list[dict] = []
-    failures: list[dict] = []
-    handle = None
-    if results_path is not None:
-        Path(results_path).parent.mkdir(parents=True, exist_ok=True)
-        handle = open(results_path, "a", encoding="utf-8")
-    try:
-        done = 0
-        for record in _execute(pending, workers):
-            done += 1
-            if "error" in record:
-                failures.append(record)
-            else:
-                fresh.append(record)
-                if "telemetry" in record:
-                    telemetry.merge_snapshot(record["telemetry"])
-                if handle is not None:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-                    handle.flush()
-            if progress is not None:
-                progress(done, len(pending), record)
-    finally:
-        if handle is not None:
-            handle.close()
-
-    records = sorted(prior + fresh, key=lambda record: record["point"])
-    return TrafficCampaignResult(
-        records=records,
-        telemetry=telemetry,
-        executed=len(fresh) + len(failures),
-        skipped=len(prior),
-        failures=failures,
-        corrupt_lines=corrupt,
+    return coordinate(
+        points,
+        points[0]["campaign"] if points else None,
+        key="point",
+        name_field="campaign",
+        runner=run_point_safely,
         workers=workers,
-        wall_s=round(time.perf_counter() - started, 3),
+        results_path=results_path,
+        resume=resume,
+        progress=progress,
     )
-
-
-def strip_nondeterministic(record: dict) -> dict:
-    """A record minus measured-time fields — the bit-identity form."""
-    stripped = {
-        key: value for key, value in record.items()
-        if key not in NONDETERMINISTIC_FIELDS
-    }
-    if "telemetry" in stripped:
-        stripped["telemetry"] = deterministic_telemetry(stripped["telemetry"])
-    return stripped
-
-
-def compare_campaigns(
-    current: list[dict], recorded: list[dict]
-) -> list[str]:
-    """Point ids whose deterministic fields differ (or are missing).
-
-    The ``--compare`` gate: a fresh in-memory run of the same points
-    must reproduce the recorded records bit for bit once measured-time
-    fields are stripped.
-    """
-    recorded_by_id = {record["point"]: record for record in recorded}
-    mismatched = []
-    for record in current:
-        pid = record["point"]
-        baseline = recorded_by_id.get(pid)
-        if baseline is None:
-            mismatched.append(f"{pid} (not recorded)")
-        elif strip_nondeterministic(record) != strip_nondeterministic(baseline):
-            mismatched.append(pid)
-    return mismatched
 
 
 __all__ = [
     "DEFAULT_LOADS",
-    "NONDETERMINISTIC_FIELDS",
     "POINT_SIZES",
     "TRAFFIC_SCHEMA",
-    "TrafficCampaignResult",
     "TrafficPointResult",
     "build_points",
-    "compare_campaigns",
     "generate_sessions",
     "point_id",
-    "read_traffic_results",
     "run_campaign",
     "run_point_safely",
     "run_traffic_point",
     "simulate_traffic",
-    "strip_nondeterministic",
 ]

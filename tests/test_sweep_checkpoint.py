@@ -265,3 +265,13 @@ class TestCanonicalLines:
                    for i in range(5)]
         assert canonical_lines(records) \
             == canonical_lines(list(reversed(records)))
+
+    def test_traffic_records_sort_by_point_and_drop_throughput(self):
+        records = [
+            {"point": "b", "wall_s": 1.0, "refs_per_s": 9, "refs": 2},
+            {"point": "a", "wall_s": 2.0, "refs_per_s": 8, "refs": 1},
+        ]
+        assert canonical_lines(records, key="point") == [
+            json.dumps({"point": "a", "refs": 1}),
+            json.dumps({"point": "b", "refs": 2}),
+        ]

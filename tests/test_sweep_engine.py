@@ -68,7 +68,9 @@ class TestDeterminism:
         ]
 
     def test_wall_time_is_the_only_tolerated_field(self):
-        assert NONDETERMINISTIC_FIELDS == ("wall_s",)
+        # refs_per_s is traffic's wall-derived throughput; sweep records
+        # carry no such field, so wall time is all a shard loses.
+        assert NONDETERMINISTIC_FIELDS == ("wall_s", "refs_per_s")
         record = {"shard": "x", "wall_s": 1.0, "faults": 3}
         assert strip_nondeterministic(record) == {"shard": "x", "faults": 3}
 
@@ -134,6 +136,25 @@ class TestCheckpointing:
         again = run_sweep(tiny_grid(), workers=1, results_path=path)
         assert again.executed == 4 and again.skipped == 0
         assert len(path.read_text().splitlines()) == 8
+
+    def test_resume_over_duplicate_lines_counts_each_shard_once(
+            self, tmp_path):
+        """Two plain runs leave every shard twice in the file; resume
+        must see one record per shard, not merge the totals twice."""
+        path = tmp_path / "results.jsonl"
+        clean = run_sweep(tiny_grid(), workers=1, results_path=path)
+        run_sweep(tiny_grid(), workers=1, results_path=path)
+        resumed = run_sweep(tiny_grid(), workers=1, results_path=path,
+                            resume=True)
+        assert resumed.executed == 0
+        assert resumed.skipped == resumed.grid.size == 4
+        assert len(resumed.records) == 4
+        assert comparable(resumed) == comparable(clean)
+        assert resumed.counters.snapshot() == clean.counters.snapshot()
+        assert resumed.telemetry.deterministic_snapshot() == \
+            clean.telemetry.deterministic_snapshot()
+        records, _ = read_results(path, sweep="tiny")
+        assert len(records) == 4
 
 
 class TestFailures:

@@ -131,6 +131,12 @@ class TestRetryLedger:
         assert record == {"shard": "s", "error": "lost",
                           "transport": "pool", "attempts": 2}
 
+    def test_ledger_keys_on_the_id_field(self):
+        ledger = RetryLedger(retries=0, transport="pool", key="point")
+        failed = ledger.record_loss({"point": "p1"}, "x")
+        assert failed["point"] == "p1" and "shard" not in failed
+        assert ledger.losses({"point": "p1"}) == 1
+
 
 class TestPoolLoss:
     def test_hard_worker_death_is_retried_not_hung(self, tmp_path):
@@ -156,6 +162,26 @@ class TestPoolLoss:
         assert records[0]["transport"] == "pool"
         assert records[0]["attempts"] == 2
         assert "error" in records[0]
+
+    def test_poison_shard_takes_no_innocents_with_it(self):
+        """Every death breaks the whole pool, so the shards sharing it
+        with a poison shard are lost each time too.  They are requeued,
+        never charged as failed: only the poison shard, once it runs
+        alone, becomes a failure record."""
+        specs = tiny_specs()
+        specs[1] = dict(specs[1], inject_exit=True)
+        records = list(PoolTransport(workers=2).run(specs))
+        assert len(records) == len(specs)
+        failed = [record for record in records if "error" in record]
+        assert [record["shard"] for record in failed] == [specs[1]["shard"]]
+        assert {record["shard"] for record in records} \
+            == {spec["shard"] for spec in specs}
+
+    def test_failure_records_carry_the_configured_id_key(self):
+        spec = {"point": "p", "inject_exit": True}
+        (record,) = PoolTransport(workers=1, retries=0, key="point").run(
+            [spec])
+        assert record["point"] == "p" and "shard" not in record
 
 
 class TestStreamLoss:

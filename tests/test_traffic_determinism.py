@@ -2,13 +2,9 @@
 
 import json
 
-from repro.traffic.engine import (
-    build_points,
-    compare_campaigns,
-    read_traffic_results,
-    run_campaign,
-    strip_nondeterministic,
-)
+from repro.sweep.checkpoint import canonical_lines, strip_nondeterministic
+from repro.sweep.engine import read_results
+from repro.traffic.engine import build_points, run_campaign
 
 SEEDS_100 = tuple(range(100))
 
@@ -68,18 +64,23 @@ class TestHundredSeeds:
         assert len(finished.records) == 100
         # The stitched-together campaign matches a clean one bit for bit.
         clean = run_campaign(points, workers=1)
-        assert compare_campaigns(clean.records, finished.records) == []
+        assert canonical_lines(clean.records, key="point") == \
+            canonical_lines(finished.records, key="point")
 
-    def test_compare_campaigns_spots_a_tampered_record(self, tmp_path):
+    def test_canonical_lines_spot_a_tampered_record(self, tmp_path):
         path = tmp_path / "results.jsonl"
         points = hundred_points()[:5]
         run_campaign(points, workers=1, results_path=path)
-        records, corrupt = read_traffic_results(path)
+        records, corrupt = read_results(path, key="point",
+                                        name_field="campaign")
         assert corrupt == 0 and len(records) == 5
         records[2] = {**records[2], "refs": records[2]["refs"] + 1}
-        fresh = run_campaign(points, workers=1)
-        assert compare_campaigns(fresh.records, records) == \
-            [records[2]["point"]]
+        fresh = canonical_lines(run_campaign(points, workers=1).records,
+                                key="point")
+        recorded = canonical_lines(records, key="point")
+        mismatched = [json.loads(line)["point"]
+                      for line, other in zip(fresh, recorded) if line != other]
+        assert mismatched == [records[2]["point"]]
 
     def test_damaged_checkpoint_lines_are_counted(self, tmp_path):
         path = tmp_path / "results.jsonl"

@@ -154,7 +154,7 @@ class TestPointRecords:
         json.dumps(record)
 
     def test_telemetry_changes_no_simulation_bits(self):
-        from repro.traffic.engine import strip_nondeterministic
+        from repro.traffic import strip_nondeterministic
 
         spec = tiny_point()
         with_telemetry = run_traffic_point(spec)
