@@ -206,7 +206,7 @@ def bench_columnar(
     """
     import tempfile
 
-    from repro.fastpath.columnar import _np, run_columnar
+    from repro.fastpath.columnar import load_numpy, run_columnar
     from repro.fastpath.replay import FAST_KERNELS
     from repro.trace import read_trace, stream_trace
 
@@ -223,6 +223,7 @@ def bench_columnar(
             phase_length=phase_length, locality=locality, seed=1967,
         )
     trace = read_trace(trace_file)
+    has_numpy = load_numpy() is not None
     try:
         length = len(trace)
         # The list backend's mandatory materialization, timed once:
@@ -236,7 +237,7 @@ def bench_columnar(
             list_s = ingest_s + replay_s
             _, view_s = _timed(lambda: kernel(trace, frames))
             vectorized_s = None
-            if _np is not None:
+            if has_numpy:
                 vectorized, vectorized_s = _timed(
                     lambda: run_columnar(
                         trace, frames, _replay_policy(name, trace),
@@ -284,7 +285,7 @@ def bench_columnar(
             "references": length,
             "frames": frames,
             "pages": trace.spans()[0],
-            "numpy": _np is not None,
+            "numpy": has_numpy,
             "trace_file": str(trace_file) if cleanup is None else None,
             "policies": policies,
         }

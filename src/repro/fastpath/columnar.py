@@ -54,8 +54,10 @@ Segmented traces — elements ``(segment, page)`` — are replayed over the
 encoded key ``segment * page_span + page`` and victims are decoded back
 to tuples, so the two-level configurations get the same speedup.
 
-The kernels need numpy (the ``perf`` extra).  Without it, or for traces
-that are small, not column-backed, too sparse (huge id space), or too
+The kernels need numpy (the ``perf`` extra), which :func:`load_numpy`
+imports on the first column-backed replay, not with this module, so
+callers that replay only plain lists never load it.  Without numpy, or
+for traces that are small, not column-backed, too sparse (huge id space), or too
 fault-heavy for chunk skipping to pay (an early abort heuristic),
 :func:`run_columnar` returns ``None`` and the caller falls back to the
 list kernels — which consume a columnar trace zero-copy through
@@ -76,10 +78,30 @@ from repro.paging.simulate import SimulationResult
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.reference import Trace
 
-try:                        # numpy is optional (the [perf] extra)
-    import numpy as _np
-except ImportError:         # pragma: no cover - exercised via monkeypatch
-    _np = None
+_UNLOADED = object()
+
+#: numpy once :func:`load_numpy` has run, None when it is not installed.
+#: Setting it to None masks numpy (the no-numpy tests do).
+_np = _UNLOADED
+
+
+def load_numpy():
+    """numpy, imported on first call; None when it is not installed.
+
+    numpy is optional (the ``[perf]`` extra), and importing it grows
+    resident memory by megabytes, so the import waits for the first
+    column-backed replay: list-trace callers such as the shared replay
+    never pay for it.
+    """
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:     # pragma: no cover - exercised via monkeypatch
+            _np = None
+        else:
+            _np = numpy
+    return _np
 
 #: Traces shorter than this go straight to the list kernels (fixed
 #: per-call numpy setup would dominate); ``force=True`` overrides.
@@ -373,14 +395,14 @@ def run_columnar(
     A ``BeladyOptimalPolicy`` must be validated against the trace by the
     caller (``run_fast`` does), exactly as for the list kernels.
     """
-    np = _np
-    if np is None:
-        return None
     state_type = _STATE_TYPES.get(type(policy))
     if state_type is None:
         return None
     columns = _columns_of(trace)
     if columns is None:
+        return None
+    np = load_numpy()
+    if np is None:
         return None
     pages_col, segments_col, cached_spans = columns
     n = len(pages_col)
@@ -610,5 +632,6 @@ __all__ = [
     "MAX_DENSE_KEYS",
     "MIN_COLUMNAR_REFS",
     "is_column_backed",
+    "load_numpy",
     "run_columnar",
 ]

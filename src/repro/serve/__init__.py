@@ -11,8 +11,10 @@ the tour.
 
 Layering: the pool sits *beneath* the existing layers.  A
 :class:`~repro.serve.tenant.TenantView` speaks the
-:class:`~repro.paging.frame.FrameTable` interface, so demand pagers and
-the replay drivers run over shared frames unmodified; the namespace
+:class:`~repro.paging.frame.FrameTable` interface, so demand pagers run
+over shared frames unmodified; the shared replay driver runs each
+tenant on the fastpath kernels and sends only faults and first shared
+writes through the views (``docs/SERVING.md``); the namespace
 layer forks symbolic address spaces onto views; :mod:`repro.observe`
 carries the new Share / DedupHit / CoWBreak events; :mod:`repro.check`
 audits refcount conservation; :mod:`repro.sweep` and the benchmark

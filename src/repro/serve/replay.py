@@ -1,8 +1,8 @@
 """Trace-driven replay over a shared frame pool.
 
 The serving counterpart of :func:`repro.paging.simulate.simulate_trace`:
-N tenants replay their reference strings round-robin over one
-:class:`~repro.serve.pool.SharedFramePool`, each with its own
+N tenants replay their reference strings, interleaved round-robin, over
+one :class:`~repro.serve.pool.SharedFramePool`, each with its own
 replacement policy and resident-page quota.  Local pages below
 ``shared_pages`` resolve to common content keys — the shared-library
 region — so a tenant faulting on content another tenant already holds
@@ -10,20 +10,38 @@ attaches to the resident frame (a *share*: no fetch), and content still
 cached zero-ref in the freed-dedup pool is revived by identity (a
 *dedup hit*: no fetch).  Writes to shared pages break copy-on-write.
 
+The replay runs in two phases.  Eviction is quota-local, so a tenant's
+faults and victims depend only on its own trace, writes and policy; the
+pool decides only how each fault is satisfied and which frame it gets.
+Phase 1 therefore replays each tenant alone through ``simulate_trace``
+and its kernel dispatch.  Phase 2 replays, in the round-robin
+``(index, tenant)`` order, only the references that touch the pool —
+faults (evict, then acquire) and each page's first write hit while its
+key is shared (the copy-on-write break) — merging the tenants' event
+streams through a heap.  Resident hits, the bulk of a local
+workload's references, never reach the view or the pool.
+
 The differential contract this driver is pinned to
 (``tests/test_serve_differential.py``, 100 seeds): at sharing degree 1
 with no shared pages, the per-tenant :class:`SimulationResult` and the
 ``replay.*`` counter stream are **bit-identical** to
-``simulate_trace(trace, frames, policy, fast=False)``.  Sharing degree
-1 *is* the unshared path; everything the serving tier adds happens only
-when degree > 1 or shared pages exist, and its counters
-(``serve.*``) are created only when the events they count occur.
+``simulate_trace(trace, frames, policy, fast=False)``; at every degree
+the results, pool statistics, counters, event stream and telemetry are
+identical to the per-reference loop in ``tests/serve_reference.py``.
+Sharing degree 1 *is* the unshared path; everything the serving tier
+adds happens only when degree > 1 or shared pages exist, and its
+counters (``serve.*``) are created only when the events they count
+occur.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
+from itertools import compress
 from typing import Callable, Hashable, Sequence
 
 from repro.observe.counters import Counters
@@ -31,9 +49,17 @@ from repro.observe.events import Evict, Fault
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.tracer import Tracer
 from repro.paging.replacement.base import ReplacementPolicy
-from repro.paging.simulate import SimulationResult, record_replay_telemetry
+from repro.paging.simulate import (
+    SimulationResult,
+    record_replay_telemetry,
+    simulate_trace,
+)
 from repro.serve.pool import ServeStats, SharedFramePool
 from repro.serve.tenant import TenantView
+
+#: Phase-2 stream kinds, by position in a tenant's stream pair: its
+#: faults, then its first write hits on pages whose key is still shared.
+_FAULT = 0
 
 
 @dataclass(slots=True)
@@ -117,7 +143,9 @@ def simulate_shared(
         Each tenant's resident-page quota (the per-tenant allotment).
     policy_factory:
         ``policy_factory(tenant_index)`` returns a fresh replacement
-        policy for that tenant.
+        policy for that tenant.  Tenants replay one after another in
+        phase 1, so their policies must not share mutable state (such
+        as one RNG): a shared object is refused with ``ValueError``.
     shared_pages:
         Local pages below this bound are common content across all
         tenants (the shared-library region); 0 shares nothing.
@@ -138,8 +166,10 @@ def simulate_shared(
         names plus — only when the events occur — ``serve.*`` totals and
         ``serve.tenant.<name>.*`` per-tenant accounting (degree > 1).
     checked:
-        Audit the pool and every tenant view with the invariant suite
-        (refcount conservation included) every 64 steps plus finally.
+        Replay each tenant through ``simulate_trace``'s checked
+        reference loop, and audit the pool and every tenant view with
+        the invariant suite (refcount conservation included) before
+        every 64th pool event plus once at the end.
     telemetry:
         Optional :class:`~repro.observe.telemetry.TelemetryRegistry`.
         The pool times ``acquire`` / ``cow_break`` as wall spans and
@@ -179,127 +209,116 @@ def simulate_shared(
         for index in range(tenants)
     ]
     policies = [policy_factory(index) for index in range(tenants)]
+    if len({id(policy) for policy in policies}) < tenants:
+        raise ValueError(
+            "policy_factory returned one policy object for several "
+            "tenants; each tenant needs its own"
+        )
     # Tenant labels ride the events only in actual multi-tenant runs, so
     # the degree-1 event stream stays byte-identical to the unshared one.
     labels = [f"t{index}" if tenants > 1 else None for index in range(tenants)]
 
+    # Phase 1: each tenant alone.  Its faults and victims are the ones
+    # the interleaved replay would produce, because its own quota, not
+    # the pool, decides when and what it evicts.
+    runs: list[SimulationResult] = []
+    streams: list[tuple[array, array]] = []
+    for tenant, trace in enumerate(traces):
+        flags = writes[tenant] if writes is not None else None
+        run = simulate_trace(
+            trace, frames, policies[tenant],
+            record_positions=True, record_evictions=True,
+            writes=flags, checked=checked,
+        )
+        positions = array("q", run.fault_positions)
+        if not record_positions:
+            run.fault_positions = []
+        shared_writes = (
+            _first_shared_writes(trace, flags, positions, views[tenant])
+            if flags is not None else array("q")
+        )
+        runs.append(run)
+        streams.append((positions, shared_writes))
+
+    # Phase 2: the pool events, in (index, tenant) order — one heap
+    # entry per non-empty stream: (index, tenant, kind, cursor).
     suite = None
     if checked:
         from repro.check.invariants import InvariantSuite
 
         suite = InvariantSuite()
-
-    faults = [0] * tenants
-    cold_faults = [0] * tenants
-    evictions = [0] * tenants
-    seen: list[set[Hashable]] = [set() for _ in range(tenants)]
-    positions: list[list[int]] = [[] for _ in range(tenants)]
-    victims: list[list[Hashable]] = [[] for _ in range(tenants)]
-    shared_cycles = 0
-    private_cycles = 0
-
-    longest = max(len(trace) for trace in traces)
-    step = 0
-    for index in range(longest):
-        for tenant in range(tenants):
-            trace = traces[tenant]
-            if index >= len(trace):
-                continue
-            if suite is not None and step % 64 == 0:
-                suite.check_all([pool, *views])
-            step += 1
-            pool.now = index
-            page = trace[index]
-            write = bool(writes[tenant][index]) if writes is not None else False
-            view = views[tenant]
-            policy = policies[tenant]
+    audited = [pool, *views]
+    victims = [run.victims for run in runs]
+    heap = [
+        (stream[0], tenant, kind, 0)
+        for tenant, pair in enumerate(streams)
+        for kind, stream in enumerate(pair)
+        if stream
+    ]
+    heapify(heap)
+    # Space-time, both ways of counting it: what the consolidated pool
+    # holds vs. what the tenants' views add up to.  One shared frame
+    # referenced by k tenants costs 1 in the pool and k in the
+    # per-tenant sum — the gap is the serving tier's storage saving.
+    # Both change only at events, so they integrate over the gaps.
+    shared_cycles = private_cycles = 0
+    private_resident = 0
+    since = 0           # the index from which the current state holds
+    events = 0
+    while heap:
+        index, tenant, kind, cursor = heap[0]
+        if index != since:
+            shared_cycles += pool.resident_count * (index - since)
+            private_cycles += private_resident * (index - since)
+            since = index
+        if suite is not None and events % 64 == 0:
+            suite.check_all(audited)
+        events += 1
+        pool.now = index
+        view = views[tenant]
+        page = traces[tenant][index]
+        if kind == _FAULT:
             label = labels[tenant]
-            if page in view:
-                if write:
-                    new_frame = view.note_write(page)
-                    if new_frame is not None and counting:
-                        counters.increment("serve.cow_breaks")
-                        if tenants > 1:
-                            counters.increment(
-                                f"serve.tenant.{label}.cow_breaks"
-                            )
-                policy.on_access(page, index, modified=write)
-            else:
-                faults[tenant] += 1
-                cold = page not in seen[tenant]
-                if cold:
-                    cold_faults[tenant] += 1
-                    seen[tenant].add(page)
-                if counting:
-                    counters.increment("replay.faults")
-                    if cold:
-                        counters.increment("replay.cold_faults")
-                    if tenants > 1:
-                        counters.increment(f"serve.tenant.{label}.faults")
+            if tracing:
+                write = writes is not None and bool(writes[tenant][index])
+                tracer.emit(Fault(
+                    time=index, unit=page, write=write, program=label,
+                ))
+            if cursor >= frames:
+                victim = victims[tenant][cursor - frames]
+                view.release(victim)
                 if tracing:
-                    tracer.emit(Fault(
-                        time=index, unit=page, write=write, program=label,
-                    ))
-                if record_positions:
-                    positions[tenant].append(index)
-                if view.is_full():
-                    victim = policy.choose_victim(
-                        view.resident_pages(), index
-                    )
-                    if victim not in view:
-                        raise RuntimeError(
-                            f"policy {policy.name} chose non-resident "
-                            f"victim {victim!r}"
-                        )
-                    view.release(victim)
-                    policy.on_evict(victim)
-                    evictions[tenant] += 1
-                    if counting:
-                        counters.increment("replay.evictions")
-                    if tracing:
-                        tracer.emit(Evict(
-                            time=index, unit=victim, program=label,
-                        ))
-                    if record_evictions:
-                        victims[tenant].append(victim)
-                _, hit = view.acquire_detail(page)
-                if counting and hit is not None:
-                    name = "shares" if hit == "share" else "dedup_hits"
-                    counters.increment(f"serve.{name}")
-                    if tenants > 1:
-                        counters.increment(f"serve.tenant.{label}.{name}")
-                policy.on_load(page, index, modified=write)
-        # Space-time, both ways of counting it: what the consolidated
-        # pool holds vs. what the tenants' views add up to.  One shared
-        # frame referenced by k tenants costs 1 in the pool and k in the
-        # per-tenant sum — the gap is the serving tier's storage saving.
-        shared_cycles += pool.resident_count
-        private_cycles += sum(view.resident_count for view in views)
+                    tracer.emit(Evict(time=index, unit=victim, program=label))
+            else:
+                private_resident += 1
+            view.acquire_detail(page)
+        else:
+            view.note_write(page)
+        stream = streams[tenant][kind]
+        cursor += 1
+        if cursor < len(stream):
+            heapreplace(heap, (stream[cursor], tenant, kind, cursor))
+        else:
+            heappop(heap)
+    longest = max(len(trace) for trace in traces)
+    shared_cycles += pool.resident_count * (longest - since)
+    private_cycles += private_resident * (longest - since)
 
     if suite is not None:
-        suite.check_all([pool, *views])
+        suite.check_all(audited)
     if counting:
+        _count_shared(counters, runs, views, pool.stats, labels)
         counters.increment(
             "replay.references", sum(len(trace) for trace in traces)
         )
-    results = [
-        SimulationResult(
-            policy=policies[tenant].name,
-            frames=frames,
-            references=len(traces[tenant]),
-            faults=faults[tenant],
-            evictions=evictions[tenant],
-            cold_faults=cold_faults[tenant],
-            fault_positions=positions[tenant],
-            victims=victims[tenant],
-        )
-        for tenant in range(tenants)
-    ]
+    if not record_evictions:
+        for run in runs:
+            run.victims = []
     shared_result = SharedReplayResult(
         sharing=tenants,
         shared_pages=shared_pages,
         pool_frames=pool_frames,
-        tenants=results,
+        tenants=runs,
         pool_stats=pool.stats,
         shares=pool.stats.shares,
         dedup_hits=pool.stats.dedup_hits,
@@ -309,6 +328,72 @@ def simulate_shared(
     )
     record_shared_telemetry(telemetry, shared_result)
     return shared_result
+
+
+def _first_shared_writes(
+    trace: Sequence[Hashable],
+    flags: Sequence[bool],
+    positions: array,
+    view: TenantView,
+) -> array:
+    """Indices of the tenant's first write hit on each shared-key page.
+
+    These are the only writes that reach the pool.  A write that faults
+    acquires the shared content without breaking it; a write hit on a
+    shared key breaks copy-on-write, after which the page resolves to
+    its private copy for good; and a page whose key is private never
+    becomes shared.  So once a page has taken one write hit, no later
+    write to it can break anything.  "Shared" is the view's own key
+    rule, read before any break happened.
+    """
+    found = array("q")
+    settled: set[Hashable] = set()
+    faults = len(positions)
+    for index in compress(range(len(flags)), flags):
+        page = trace[index]
+        if page in settled:
+            continue
+        if not view.is_shared_key(view.key_for(page)):
+            settled.add(page)
+            continue
+        slot = bisect_left(positions, index)
+        if slot < faults and positions[slot] == index:
+            continue        # a write fault: the shared key stays intact
+        found.append(index)
+        settled.add(page)
+    return found
+
+
+def _count_shared(
+    counters: Counters,
+    runs: Sequence[SimulationResult],
+    views: Sequence[TenantView],
+    stats: ServeStats,
+    labels: Sequence[str | None],
+) -> None:
+    """The totals the per-reference loop counted one event at a time.
+
+    A counter is created only once its event has occurred, so zero
+    totals are skipped; per-tenant names exist only at degree > 1.
+    """
+    totals = {
+        "replay.faults": sum(run.faults for run in runs),
+        "replay.cold_faults": sum(run.cold_faults for run in runs),
+        "replay.evictions": sum(run.evictions for run in runs),
+        "serve.shares": stats.shares,
+        "serve.dedup_hits": stats.dedup_hits,
+        "serve.cow_breaks": stats.cow_breaks,
+    }
+    if len(runs) > 1:
+        for label, run, view in zip(labels, runs, views):
+            prefix = f"serve.tenant.{label}"
+            totals[f"{prefix}.faults"] = run.faults
+            totals[f"{prefix}.shares"] = view.stats.shares
+            totals[f"{prefix}.dedup_hits"] = view.stats.dedup_hits
+            totals[f"{prefix}.cow_breaks"] = view.stats.cow_breaks
+    for name, amount in totals.items():
+        if amount:
+            counters.increment(name, amount)
 
 
 def record_shared_telemetry(

@@ -11,8 +11,13 @@ contract over 100 randomized seeds, with and without numpy.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +44,7 @@ RESULT_FIELDS = (
     "cold_faults", "fault_positions", "victims",
 )
 
-numpy_missing = columnar_module._np is None
+numpy_missing = columnar_module.load_numpy() is None
 
 
 def _make_policy(name: str, trace):
@@ -314,6 +319,38 @@ class TestColumnarDispatchGuards:
             record_positions=True, record_evictions=True,
         )
         _assert_same(reference, fast, "no-numpy")
+
+
+def test_list_replays_never_import_numpy():
+    """numpy loads on the first column-backed replay, never before."""
+    # A fresh interpreter: this test process may hold numpy already.
+    script = textwrap.dedent("""
+        import sys
+        import repro.fastpath.replay
+        import repro.serve
+        from repro.paging.replacement import make_policy
+        from repro.serve import (
+            seeded_writes, simulate_shared, tenant_traces,
+        )
+
+        traces, shared = tenant_traces(3, pages=64, length=6000, seed=1)
+        writes = [seeded_writes(len(trace), seed=index)
+                  for index, trace in enumerate(traces)]
+        for name in ("lru", "fifo", "clock"):
+            simulate_shared(traces, 8, lambda _index: make_policy(name),
+                            shared_pages=shared, writes=writes)
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """)
+    src = str(Path(columnar_module.__file__).parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 @pytest.mark.skipif(numpy_missing, reason="columnar kernels need numpy")

@@ -32,7 +32,12 @@ from repro.errors import InvariantViolation, OutOfMemory
 from repro.memory import BackingStore, StorageLevel
 from repro.paging import DemandPager, LruPolicy
 from repro.paging.replacement import make_policy
-from repro.serve import SharedFramePool, TenantView, simulate_shared
+from repro.serve import (
+    RefCounter,
+    SharedFramePool,
+    TenantView,
+    simulate_shared,
+)
 from repro.workload.reference import phased_trace
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -103,6 +108,38 @@ def test_checked_shared_replay_is_clean(seed):
         shared_pages=12, checked=True,
     )
     assert result.shares + result.dedup_hits > 0
+
+
+@pytest.mark.parametrize("nth", (5, 40, 90))
+def test_checked_shared_replay_catches_a_planted_leak(nth, monkeypatch):
+    """A refcount leak partway through a replay trips the pool audit.
+
+    The ``nth`` pin counts twice: the pool then holds a reference no
+    tenant view accounts for.  Audits run before every 64th pool event
+    and once at the end, so the leak is caught wherever it lands.
+    """
+    traces = [
+        list(phased_trace(pages=24, length=200, working_set=5,
+                          phase_length=40, locality=0.9, seed=t))
+        for t in range(3)
+    ]
+    replay = dict(traces=traces, frames=6, shared_pages=12,
+                  policy_factory=lambda _index: make_policy("lru"))
+    pins = simulate_shared(**replay).pool_stats.acquires
+    assert nth < pins
+    incr = RefCounter.incr
+    calls = {"n": 0}
+
+    def leaky_incr(self, key):
+        calls["n"] += 1
+        if calls["n"] == nth:
+            incr(self, key)
+        return incr(self, key)
+
+    monkeypatch.setattr(RefCounter, "incr", leaky_incr)
+    with pytest.raises(InvariantViolation, match="refcount_conservation"):
+        simulate_shared(**replay, checked=True)
+    assert calls["n"] >= nth
 
 
 class TestCorruptionsAreDetected:
