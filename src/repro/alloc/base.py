@@ -9,7 +9,7 @@ swap strategies over identical request streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.errors import InvalidFree, OutOfMemory
 
@@ -125,11 +125,6 @@ def coalesce(holes: list[tuple[int, int]]) -> list[tuple[int, int]]:
         else:
             merged.append((address, size))
     return merged
-
-
-def iter_request_sizes(allocations: list[Allocation]) -> Iterator[int]:
-    for allocation in allocations:
-        yield allocation.size
 
 
 __all__ = [

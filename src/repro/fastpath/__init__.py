@@ -51,15 +51,10 @@ per-access loop, so an enabled tracer disables kernel dispatch for that
 call.
 """
 
-from repro.fastpath.columnar import (
-    COLUMNAR_POLICIES,
-    is_column_backed,
-    run_columnar,
-)
+from repro.fastpath.columnar import run_columnar
 from repro.fastpath.holes import HoleIndex
 from repro.fastpath.replay import (
     FAST_KERNELS,
-    fast_kernel_for,
     replay_advised,
     replay_clock,
     replay_fifo,
@@ -69,11 +64,8 @@ from repro.fastpath.replay import (
 )
 
 __all__ = [
-    "COLUMNAR_POLICIES",
     "FAST_KERNELS",
     "HoleIndex",
-    "fast_kernel_for",
-    "is_column_backed",
     "replay_advised",
     "replay_clock",
     "replay_fifo",

@@ -361,11 +361,6 @@ def _columns_of(trace):
     return None
 
 
-def is_column_backed(trace) -> bool:
-    """True when ``trace`` exposes columns the vectorized kernels accept."""
-    return _columns_of(trace) is not None
-
-
 def run_columnar(
     trace: Sequence[Hashable],
     frames: int,
@@ -623,15 +618,10 @@ _STATE_TYPES: dict[type, type] = {
     BeladyOptimalPolicy: _OptState,
 }
 
-#: Policies with a vectorized state machine (read-only view for callers).
-COLUMNAR_POLICIES = frozenset(_STATE_TYPES)
-
 
 __all__ = [
-    "COLUMNAR_POLICIES",
     "MAX_DENSE_KEYS",
     "MIN_COLUMNAR_REFS",
-    "is_column_backed",
     "load_numpy",
     "run_columnar",
 ]

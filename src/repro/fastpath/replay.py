@@ -451,12 +451,6 @@ FAST_KERNELS: dict[type, _Kernel] = {
 }
 
 
-def fast_kernel_for(policy: ReplacementPolicy) -> _Kernel | None:
-    """The batched kernel replaying ``policy``, or None if it needs the
-    reference per-access loop."""
-    return FAST_KERNELS.get(type(policy))
-
-
 def run_fast(
     trace: Sequence[Hashable],
     frames: int,

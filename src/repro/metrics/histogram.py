@@ -69,7 +69,12 @@ class Histogram:
         return sum((v - mean) ** 2 for v in self._values) / len(self._values)
 
     def percentile(self, fraction: float) -> float:
-        """Value at ``fraction`` (0..1) of the sorted sample (nearest rank)."""
+        """Element ``floor(fraction * n)`` of the sorted sample (0-based,
+        clamped to the last), for ``fraction`` in 0..1.
+
+        This is not nearest rank: p50 of 1..100 is 51, where nearest
+        rank gives 50.
+        """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
         ordered = sorted(self._values)

@@ -14,8 +14,8 @@ This package makes those events first-class:
 - :mod:`~repro.observe.counters` — one flat :class:`Counters` registry,
   with ``absorb_*`` adapters folding every existing per-subsystem stats
   record (pager, allocator, TLB, space-time, replay) into it.
-- :mod:`~repro.observe.export` — counters/events as aligned tables
-  (via :mod:`repro.metrics.report`), JSON, and CSV.
+- :mod:`~repro.observe.export` — counters as aligned tables (via
+  :mod:`repro.metrics.report`), JSON, and CSV; events as tables.
 - :mod:`~repro.observe.cli` — ``python -m repro trace <workload>``:
   replay a workload with tracing on, write a JSONL trace, print the
   summary tables.
@@ -24,12 +24,12 @@ This package makes those events first-class:
   cumulative space-time), fault→evict / place→free interval summaries,
   cross-run trace diffing, and the ``python -m repro analyze`` /
   ``trace-diff`` commands.
-- :mod:`~repro.observe.telemetry` — the live-instrument tier:
-  mergeable quantile sketches (:class:`LogHistogram`,
-  :class:`P2Quantile`), the :class:`TelemetryRegistry` of counters /
-  gauges / histograms with :class:`Span` timing, OpenMetrics
-  exposition, and the ``python -m repro top`` / ``metrics-export`` /
-  ``sweep --live`` dashboards.
+- :mod:`~repro.observe.telemetry` — the live-instrument tier: the
+  exactly mergeable quantile sketch :class:`LogHistogram`, the
+  :class:`TelemetryRegistry` of counters / gauges / histograms with
+  :class:`Span` timing, OpenMetrics exposition, and the
+  ``python -m repro top`` / ``metrics-export`` / ``sweep --live``
+  dashboards.
 
 Instrumented constructors (``tracer=`` keyword): the demand pager, the
 segmented pager, the free-list allocator, compaction, the page table and
@@ -76,8 +76,6 @@ from repro.observe.export import (
     counters_csv,
     counters_json,
     counters_table,
-    event_counts,
-    events_csv,
     events_table,
 )
 from repro.observe.sinks import (
@@ -90,7 +88,6 @@ from repro.observe.sinks import (
 from repro.observe.telemetry import (
     NULL_TELEMETRY,
     LogHistogram,
-    P2Quantile,
     Span,
     TelemetryRegistry,
     as_telemetry,
@@ -118,7 +115,6 @@ __all__ = [
     "NULL_COUNTERS",
     "NULL_TELEMETRY",
     "NULL_TRACER",
-    "P2Quantile",
     "Place",
     "RingBufferSink",
     "Share",
@@ -142,9 +138,7 @@ __all__ = [
     "counters_csv",
     "counters_json",
     "counters_table",
-    "event_counts",
     "event_from_dict",
-    "events_csv",
     "events_table",
     "read_jsonl",
     "to_openmetrics",

@@ -1,4 +1,4 @@
-"""Exporters: counters and event streams as tables, JSON, and CSV.
+"""Exporters: counters as tables, JSON, and CSV; event streams as tables.
 
 The human-facing forms reuse :mod:`repro.metrics.report` — the same
 aligned tables the benchmarks print — so the trace CLI, the examples and
@@ -12,11 +12,11 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.metrics.report import format_table
 from repro.observe.counters import Counters
-from repro.observe.events import EVENT_TYPES, Event
+from repro.observe.events import Event
 
 
 def counters_table(counters: Counters, title: str = "counters") -> str:
@@ -37,14 +37,6 @@ def events_table(events: Sequence[Event], title: str = "events") -> str:
         )
         rows.append((record["event"], record["time"], detail))
     return format_table(["event", "time", "detail"], rows, title=title)
-
-
-def event_counts(events: Iterable[Event]) -> dict[str, int]:
-    """Events per kind, every taxonomy kind present (zeros included)."""
-    counts = {kind: 0 for kind in EVENT_TYPES}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    return counts
 
 
 def counters_json(
@@ -72,32 +64,9 @@ def counters_csv(
     return text
 
 
-def events_csv(
-    events: Sequence[Event], path: str | Path | None = None
-) -> str:
-    """An event stream as CSV with the union of all fields as columns."""
-    records = [event.to_dict() for event in events]
-    columns: list[str] = ["event", "time"]
-    for record in records:
-        for key in record:
-            if key not in columns:
-                columns.append(key)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns)
-    writer.writeheader()
-    for record in records:
-        writer.writerow(record)
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
-
-
 __all__ = [
     "counters_csv",
     "counters_json",
     "counters_table",
-    "event_counts",
-    "events_csv",
     "events_table",
 ]

@@ -7,8 +7,8 @@ Where :mod:`repro.observe.tracer` records every event and
 merges them exactly across sweep worker boundaries, and exposes them as
 dashboard frames or OpenMetrics text:
 
-- :mod:`~repro.observe.telemetry.sketch` — the mergeable quantile
-  sketches (:class:`LogHistogram`, :class:`P2Quantile`).
+- :mod:`~repro.observe.telemetry.sketch` — the exactly mergeable
+  quantile sketch, :class:`LogHistogram`.
 - :mod:`~repro.observe.telemetry.spans` — :class:`Span` timing brackets
   over an injectable clock (wall seconds or simulated cycles).
 - :mod:`~repro.observe.telemetry.registry` —
@@ -39,7 +39,7 @@ from repro.observe.telemetry.registry import (
     TelemetryRegistry,
     as_telemetry,
 )
-from repro.observe.telemetry.sketch import LogHistogram, P2Quantile
+from repro.observe.telemetry.sketch import LogHistogram
 from repro.observe.telemetry.spans import NULL_SPAN, Span
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "LogHistogram",
     "NULL_SPAN",
     "NULL_TELEMETRY",
-    "P2Quantile",
     "Span",
     "SweepLiveView",
     "TelemetryRegistry",

@@ -18,7 +18,7 @@ Two output disciplines, picked by :class:`LiveRenderer`:
 from __future__ import annotations
 
 import sys
-from typing import Sequence, TextIO
+from typing import TextIO
 
 from repro.metrics.report import format_table, kv_table, sparkline
 
@@ -176,17 +176,11 @@ class SweepLiveView:
         return "\n\n".join(sections)
 
 
-def fault_rate_sparkline(rates: Sequence[float], width: int = 48) -> str:
-    """Convenience wrapper kept for report call sites."""
-    return sparkline(rates, width=width)
-
-
 __all__ = [
     "SUMMARY_QUANTILES",
     "TERMINAL_STATES",
     "LiveRenderer",
     "SweepLiveView",
-    "fault_rate_sparkline",
     "histogram_rows",
     "render_snapshot",
 ]

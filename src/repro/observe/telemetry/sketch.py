@@ -1,26 +1,20 @@
-"""Bounded-memory streaming quantile sketches.
+"""Bounded-memory streaming quantile sketch.
 
 The continuous-traffic tier's headline numbers — p50/p99 fault-wait,
 residency, span latencies — are *distributions under load*, and at
 millions of references per second the per-event state the analysis tier
-keeps (every residency span, every block lifetime) cannot survive.  The
-two sketches here hold a distribution in O(buckets) or O(1) memory:
+keeps (every residency span, every block lifetime) cannot survive.
+:class:`LogHistogram` holds a distribution in O(buckets) memory: an
+HDR-style log-bucketed histogram whose power-of-two octaves are each
+split into ``subbuckets`` equal-width linear sub-buckets, so the
+relative quantile error is bounded by ``1 / subbuckets`` regardless of
+the value range.  ``merge`` sums bucket counts, which is *exact*:
+merging N workers' histograms yields bit-identically the histogram one
+worker would have built over the concatenated stream, in any merge
+order or grouping.  This is the sketch that crosses the sweep worker
+boundary, and the only one the package keeps.
 
-- :class:`LogHistogram` — an HDR-style log-bucketed histogram: each
-  power-of-two octave is split into ``subbuckets`` equal-width linear
-  sub-buckets, so the relative quantile error is bounded by
-  ``1 / subbuckets`` regardless of the value range.  ``merge`` sums
-  bucket counts, which is *exact*: merging N workers' histograms yields
-  bit-identically the histogram one worker would have built over the
-  concatenated stream, in any merge order or grouping.  This is the
-  sketch that crosses the sweep worker boundary.
-- :class:`P2Quantile` — the Jain & Chlamtac P² estimator: five markers
-  tracking one quantile in O(1) memory without buckets.  Its ``merge``
-  is deterministic and order-insensitive but *approximate* (the five
-  markers are a lossy summary); use it for single-stream estimation and
-  cross-checks, and the histogram for fan-in.
-
-Both are cross-checked against the exact nearest-rank
+It is cross-checked against the exact nearest-rank
 :func:`repro.observe.analysis.intervals.percentile` by the property
 tests (``tests/test_telemetry_sketch.py``,
 ``tests/test_telemetry_property.py``).
@@ -29,7 +23,7 @@ tests (``tests/test_telemetry_sketch.py``,
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Default linear sub-buckets per power-of-two octave.  The quantile
 #: error bound is ``1 / subbuckets`` relative (see :meth:`LogHistogram.
@@ -231,6 +225,14 @@ class LogHistogram:
 
     @classmethod
     def from_dict(cls, record: dict) -> "LogHistogram":
+        """Rebuild a sketch from :meth:`to_dict` output.
+
+        Records cross a trust boundary (resumed results files,
+        heartbeats, worker transports), so fields that disagree with
+        each other raise ``ValueError`` naming the field rather than
+        merging into a skewed quantile or failing later inside
+        :meth:`merge`.
+        """
         try:
             sketch = cls(subbuckets=record["subbuckets"])
             sketch._counts = {
@@ -244,7 +246,35 @@ class LogHistogram:
             sketch._max = record["max"]
         except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise ValueError(f"malformed histogram record: {error}") from None
+        sketch._check_record()
         return sketch
+
+    def _check_record(self) -> None:
+        def reject(field: str, problem: str) -> None:
+            raise ValueError(f"malformed histogram record: {field} {problem}")
+
+        for index, count in self._counts.items():
+            if not _is_int(count) or count <= 0:
+                reject(f"counts[{index}]",
+                       f"must be a positive int, got {count!r}")
+        if not _is_int(self._zeros) or self._zeros < 0:
+            reject("zeros", f"must be a non-negative int, got {self._zeros!r}")
+        total = sum(self._counts.values()) + self._zeros
+        if not _is_int(self._count) or self._count != total:
+            reject("count", f"is {self._count!r} but the buckets and zeros "
+                            f"hold {total}")
+        if not _is_number(self._sum):
+            reject("sum", f"must be a number, got {self._sum!r}")
+        if not self._count:
+            if self._min is not None or self._max is not None:
+                reject("min/max", "must be null in an empty sketch")
+            return
+        for field, bound in (("min", self._min), ("max", self._max)):
+            if not _is_number(bound):
+                reject(field, f"must be a number in a non-empty sketch, "
+                              f"got {bound!r}")
+        if self._min > self._max:
+            reject("min", f"{self._min!r} exceeds max {self._max!r}")
 
     def __repr__(self) -> str:
         return (
@@ -253,220 +283,12 @@ class LogHistogram:
         )
 
 
-class P2Quantile:
-    """The P² streaming estimator of one quantile (Jain & Chlamtac 1985).
-
-    Five markers track the minimum, the target quantile, the two
-    intermediate quantiles, and the maximum; marker heights move by
-    piecewise-parabolic interpolation as samples arrive.  Memory is
-    O(1) and independent of stream length.
-
-    The first five samples are kept exactly, so small streams report
-    exact nearest-rank answers.  ``merge`` combines two estimators
-    deterministically by re-interpolating the union of their weighted
-    marker points — a lossy summary, so unlike :class:`LogHistogram`
-    the merge is approximate (bounded by the tests, not by algebra).
-
-    >>> sketch = P2Quantile(0.5)
-    >>> for value in range(1, 100):
-    ...     sketch.observe(value)
-    >>> 45 <= sketch.value() <= 55
-    True
-    """
-
-    __slots__ = ("q", "_count", "_heights", "_positions", "_desired",
-                 "_increments")
-
-    def __init__(self, q: float = 0.5) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._count = 0
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-        self._increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def observe(self, value: float) -> None:
-        """Record one sample.  O(1)."""
-        self._count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            heights.sort()
-            return
-        # Locate the cell and bump the extremes.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        positions = self._positions
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        for index in range(5):
-            self._desired[index] += self._increments[index]
-        # Adjust the three interior markers toward their desired ranks.
-        for index in (1, 2, 3):
-            delta = self._desired[index] - positions[index]
-            if (delta >= 1.0 and positions[index + 1] - positions[index] > 1.0) \
-                    or (delta <= -1.0
-                        and positions[index - 1] - positions[index] < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, step)
-                positions[index] += step
-
-    def _parabolic(self, index: int, step: float) -> float:
-        heights, positions = self._heights, self._positions
-        n_prev, n, n_next = (
-            positions[index - 1], positions[index], positions[index + 1]
-        )
-        return heights[index] + step / (n_next - n_prev) * (
-            (n - n_prev + step) * (heights[index + 1] - heights[index])
-            / (n_next - n)
-            + (n_next - n - step) * (heights[index] - heights[index - 1])
-            / (n - n_prev)
-        )
-
-    def _linear(self, index: int, step: float) -> float:
-        heights, positions = self._heights, self._positions
-        other = index + int(step)
-        return heights[index] + step * (
-            (heights[other] - heights[index])
-            / (positions[other] - positions[index])
-        )
-
-    def value(self) -> float:
-        """The current estimate; exact nearest rank through five samples.
-
-        The raw-sample window is ``count <= 5``, not ``< 5``: at exactly
-        five samples the heights are still the sorted raw values (marker
-        interpolation starts with the sixth observation), so the middle
-        height is only the answer for q near 0.5 — an extreme quantile
-        must still use its nearest rank.  Only from the sixth sample on
-        does ``heights[2]`` track the target quantile.
-        """
-        if not self._count:
-            raise ValueError("quantile of an empty estimator")
-        heights = self._heights
-        if self._count <= 5 or len(heights) < 5:
-            rank = max(1, math.ceil(self.q * self._count))
-            return heights[min(rank, len(heights)) - 1]
-        return heights[2]
-
-    # -- combination ---------------------------------------------------------
-
-    def _weighted_points(self) -> list[tuple[float, float]]:
-        """``(height, weight)`` summary: marker gaps as point masses."""
-        heights = self._heights
-        if self._count < 5:
-            return [(height, 1.0) for height in heights]
-        positions = self._positions
-        points = [(heights[0], 1.0)]
-        for index in range(1, 5):
-            points.append(
-                (heights[index], positions[index] - positions[index - 1])
-            )
-        return points
-
-    def merge(self, other: "P2Quantile") -> None:
-        """Fold another estimator for the same quantile in.
-
-        Deterministic and symmetric (the union of weighted marker points
-        is sorted by height before re-interpolation), but approximate:
-        five markers cannot carry a whole distribution, so merged
-        estimates drift within the error the property tests bound.
-        """
-        if other.q != self.q:
-            raise ValueError(
-                f"cannot merge estimators for q={other.q} and q={self.q}"
-            )
-        if not other._count:
-            return
-        if not self._count:
-            self._copy_from(other)
-            return
-        if self._count < 5 and other._count < 5:
-            # Both sides still hold raw samples: merge exactly.
-            merged = sorted(self._heights + other._heights)
-            if len(merged) < 5:
-                self._heights = merged
-                self._count += other._count
-                return
-            # The union crossed the marker threshold.  Leaving 6-8 raw
-            # heights in place would corrupt the next observe (the
-            # marker update indexes exactly five heights) and skew
-            # value(); replaying the sorted union through a fresh
-            # estimator seeds proper marker state, deterministically
-            # and symmetrically (both merge orders sort to the same
-            # union).
-            fresh = P2Quantile(self.q)
-            for sample in merged:
-                fresh.observe(sample)
-            self._copy_from(fresh)
-            return
-        total = self._count + other._count
-        points = sorted(self._weighted_points() + other._weighted_points())
-        heights = [
-            _weighted_quantile(points, fraction)
-            for fraction in (0.0, self.q / 2, self.q, (1 + self.q) / 2, 1.0)
-        ]
-        self._heights = heights
-        self._count = total
-        self._positions = [
-            1.0,
-            max(2.0, 1 + round(2 * self.q * (total - 1) / 4)),
-            max(3.0, 1 + round(4 * self.q * (total - 1) / 4)),
-            max(4.0, 1 + round((3 + 2 * self.q) * (total - 1) / 4)),
-            float(total),
-        ]
-        # Re-derive monotone positions (the rounding above can collide).
-        for index in range(1, 5):
-            if self._positions[index] <= self._positions[index - 1]:
-                self._positions[index] = self._positions[index - 1] + 1.0
-        self._desired = [
-            1.0,
-            1 + 2 * self.q * (total - 1) / 4,
-            1 + self.q * (total - 1),
-            1 + (3 + 2 * self.q) * (total - 1) / 4,
-            float(total),
-        ]
-
-    def _copy_from(self, other: "P2Quantile") -> None:
-        self._count = other._count
-        self._heights = list(other._heights)
-        self._positions = list(other._positions)
-        self._desired = list(other._desired)
-
-    def __repr__(self) -> str:
-        return f"P2Quantile(q={self.q}, count={self._count})"
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _weighted_quantile(
-    points: Sequence[tuple[float, float]], fraction: float
-) -> float:
-    """Nearest-rank quantile over sorted ``(value, weight)`` point masses."""
-    total = sum(weight for _, weight in points)
-    target = fraction * total
-    cumulative = 0.0
-    for value, weight in points:
-        cumulative += weight
-        if cumulative >= target:
-            return value
-    return points[-1][0]
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-__all__ = ["DEFAULT_SUBBUCKETS", "LogHistogram", "P2Quantile"]
+__all__ = ["DEFAULT_SUBBUCKETS", "LogHistogram"]

@@ -315,7 +315,11 @@ def _traffic(spec: dict, config, telemetry: TelemetryRegistry) -> dict:
     at the shard's ``traffic`` channel, so the leg is bit-reproducible
     like the others and independent of every other leg.
     """
-    from repro.traffic.engine import build_points, simulate_traffic
+    from repro.traffic.engine import (
+        build_points,
+        simulate_traffic,
+        wait_quantile,
+    )
 
     spec_point = build_points(
         loads=(spec.get("offered", 1.0),),
@@ -336,9 +340,6 @@ def _traffic(spec: dict, config, telemetry: TelemetryRegistry) -> dict:
     )[0]
     result = simulate_traffic(spec_point, telemetry=telemetry)
 
-    def quantile(sketch, q: float) -> float:
-        return round(sketch.quantile(q), 6) if sketch.count else 0.0
-
     return {
         "traffic_arrivals": result.arrivals,
         "traffic_admitted": result.admitted,
@@ -351,10 +352,10 @@ def _traffic(spec: dict, config, telemetry: TelemetryRegistry) -> dict:
         "traffic_stalls": result.stalls,
         "traffic_queued_watermark": result.queued_watermark,
         "traffic_queued_quota": result.queued_quota,
-        "traffic_queue_wait_p50": quantile(result.queue_wait, 0.50),
-        "traffic_queue_wait_p99": quantile(result.queue_wait, 0.99),
-        "traffic_fault_wait_p50": quantile(result.fault_wait, 0.50),
-        "traffic_fault_wait_p99": quantile(result.fault_wait, 0.99),
+        "traffic_queue_wait_p50": wait_quantile(result.queue_wait, 0.50),
+        "traffic_queue_wait_p99": wait_quantile(result.queue_wait, 0.99),
+        "traffic_fault_wait_p50": wait_quantile(result.fault_wait, 0.50),
+        "traffic_fault_wait_p99": wait_quantile(result.fault_wait, 0.99),
     }
 
 

@@ -402,10 +402,13 @@ def _serve_tick(
         write = session.writes[position]
         if page in view:
             if write:
-                if not _note_write_evicting(
-                    session, page, position, result
-                ):
-                    break   # stalled: retry this reference next tick
+                try:
+                    view.note_write(page)
+                except OutOfMemory:
+                    if _retry_self_evicting(
+                        session, view.note_write, page, position, result
+                    ) is _STALLED:
+                        break   # stalled: retry this reference next tick
             policy.on_access(page, position, modified=write)
             session.position += 1
             served += 1
@@ -417,9 +420,15 @@ def _serve_tick(
             view.release(victim)
             policy.on_evict(victim)
             result.evictions += 1
-        hit = _acquire_evicting(session, page, position, result)
-        if hit is _STALLED:
-            break   # stalled: retry this reference next tick
+        try:
+            detail = view.acquire_detail(page)
+        except OutOfMemory:
+            detail = _retry_self_evicting(
+                session, view.acquire_detail, page, position, result
+            )
+            if detail is _STALLED:
+                break   # stalled: retry this reference next tick
+        hit = detail[1]
         policy.on_load(page, position, modified=write)
         session.position += 1
         served += 1
@@ -444,70 +453,49 @@ def _serve_tick(
     return device_free_at
 
 
-#: Sentinel ``_acquire_evicting`` returns when the session must stall
-#: (distinct from every real hit kind, including None).
+#: Sentinel ``_retry_self_evicting`` returns when the session must stall
+#: (distinct from every value the retried call can return, including None).
 _STALLED = object()
 
 
-def _acquire_evicting(
-    session: ActiveSession, page, position: int, result: TrafficPointResult
+def _retry_self_evicting(
+    session: ActiveSession,
+    attempt: Callable,
+    page,
+    position: int,
+    result: TrafficPointResult,
 ):
-    """Acquire ``page``, self-evicting until the pool yields a frame.
+    """Retry ``attempt(page)`` after an ``OutOfMemory``, self-evicting
+    the session's other resident pages until the pool yields a frame.
 
-    Under overcommit every frame can be pinned when a session faults.
-    Releasing one of the session's own pages does not always free a
-    frame — a victim mapping shared content still pinned by other
-    tenants only drops a refcount — so the self-eviction loops until
-    the acquire succeeds or the view has nothing left to give.  The
-    empty-handed case returns :data:`_STALLED`: the session retries the
-    same reference next tick, by which time some other session has
+    Under overcommit every frame can be pinned when a session faults
+    (``attempt`` is ``view.acquire_detail``) or breaks copy-on-write on
+    a shared page it writes (``view.note_write``).  Releasing one of the
+    session's own pages does not always free a frame — a victim mapping
+    shared content still pinned by other tenants only drops a
+    refcount — so the loop runs until ``attempt`` succeeds, returning
+    its value.  ``page`` is never a victim: a faulting page is not
+    resident yet, and a written page must stay mapped to break.  When
+    no other page is left, the session stalls: the stall is counted
+    and :data:`_STALLED` returned, and the session retries the same
+    reference next tick, by which time some other session has
     completed and released (if *every* session stripped itself bare,
-    all refcounts would be zero and the acquire could not fail — so
+    all refcounts would be zero and an acquire could not fail — so
     global progress is guaranteed).
     """
     view = session.view
     policy = session.policy
-    try:
-        return view.acquire_detail(page)[1]
-    except OutOfMemory:
-        pass
-    while view.resident_count:
-        victim = policy.choose_victim(view.resident_pages(), position)
-        view.release(victim)
-        policy.on_evict(victim)
-        result.evictions += 1
-        try:
-            return view.acquire_detail(page)[1]
-        except OutOfMemory:
-            continue
-    result.stalls += 1
-    return _STALLED
-
-
-def _note_write_evicting(
-    session: ActiveSession, page, position: int, result: TrafficPointResult
-) -> bool:
-    """CoW-break ``page``, self-evicting other pages for the private
-    frame; False when the session must stall (nothing left to give)."""
-    view = session.view
-    policy = session.policy
-    try:
-        view.note_write(page)
-        return True
-    except OutOfMemory:
-        pass
     while True:
         others = [p for p in view.resident_pages() if p != page]
         if not others:
             result.stalls += 1
-            return False
+            return _STALLED
         victim = policy.choose_victim(others, position)
         view.release(victim)
         policy.on_evict(victim)
         result.evictions += 1
         try:
-            view.note_write(page)
-            return True
+            return attempt(page)
         except OutOfMemory:
             continue
 
@@ -530,7 +518,9 @@ def _record_telemetry(
         result.fault_wait)
 
 
-def _quantile(sketch: LogHistogram, q: float) -> float:
+def wait_quantile(sketch: LogHistogram, q: float) -> float:
+    """Quantile ``q`` of a wait sketch as records carry it: rounded to
+    six places, or 0.0 when the sketch is empty."""
     return round(sketch.quantile(q), 6) if sketch.count else 0.0
 
 
@@ -570,10 +560,10 @@ def run_traffic_point(spec: dict) -> dict:
         "ticks": result.ticks,
         "max_active": result.max_active,
         "max_queue_depth": result.max_queue_depth,
-        "queue_wait_p50": _quantile(result.queue_wait, 0.50),
-        "queue_wait_p99": _quantile(result.queue_wait, 0.99),
-        "fault_wait_p50": _quantile(result.fault_wait, 0.50),
-        "fault_wait_p99": _quantile(result.fault_wait, 0.99),
+        "queue_wait_p50": wait_quantile(result.queue_wait, 0.50),
+        "queue_wait_p99": wait_quantile(result.queue_wait, 0.99),
+        "fault_wait_p50": wait_quantile(result.fault_wait, 0.50),
+        "fault_wait_p99": wait_quantile(result.fault_wait, 0.99),
     }
     if telemetry.enabled:
         record["telemetry"] = telemetry.snapshot()
@@ -639,4 +629,5 @@ __all__ = [
     "run_point_safely",
     "run_traffic_point",
     "simulate_traffic",
+    "wait_quantile",
 ]

@@ -1,4 +1,4 @@
-"""Property tests: merge algebra and quantile error bounds of the sketches.
+"""Property tests: merge algebra and quantile error bounds of the sketch.
 
 Two families of properties, both over seeded random streams:
 
@@ -10,9 +10,7 @@ Two families of properties, both over seeded random streams:
   here in isolation, away from the sweep machinery.
 - **Error bounds.**  ``LogHistogram.quantile`` must land within the
   advertised ``1 / subbuckets`` relative error of the exact
-  nearest-rank answer for every stream up to 10k samples; ``P2Quantile``
-  has no hard bound (five markers are a lossy summary) so it gets a
-  loose empirical corridor on smooth distributions.
+  nearest-rank answer for every stream up to 10k samples.
 """
 
 import random
@@ -20,7 +18,7 @@ import random
 import pytest
 
 from repro.observe.analysis.intervals import percentile as nearest_rank
-from repro.observe.telemetry.sketch import LogHistogram, P2Quantile
+from repro.observe.telemetry.sketch import LogHistogram
 
 
 def integer_stream(seed, length, high=2**20):
@@ -142,26 +140,3 @@ class TestQuantileErrorBound:
         fine_error = abs(fine.quantile(0.9) - exact) / exact
         assert fine_error <= fine.relative_error_bound + 1e-9
         assert fine.relative_error_bound < coarse.relative_error_bound
-
-
-class TestP2Corridor:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_median_estimate_on_smooth_streams(self, seed):
-        rng = random.Random(seed)
-        values = [rng.uniform(0, 1000) for _ in range(5_000)]
-        sketch = P2Quantile(0.5)
-        for value in values:
-            sketch.observe(value)
-        exact = nearest_rank(sorted(values), 50)
-        assert abs(sketch.value() - exact) / exact < 0.15
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_merge_stays_in_corridor(self, seed):
-        rng = random.Random(seed + 50)
-        values = [rng.uniform(0, 1000) for _ in range(4_000)]
-        left, right = P2Quantile(0.5), P2Quantile(0.5)
-        for index, value in enumerate(values):
-            (left if index % 2 else right).observe(value)
-        left.merge(right)
-        exact = nearest_rank(sorted(values), 50)
-        assert abs(left.value() - exact) / exact < 0.25

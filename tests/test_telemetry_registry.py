@@ -119,6 +119,13 @@ class TestDisabledRegistry:
         assert as_telemetry(registry) is registry
 
 
+def first_bucket(value):
+    """A record edit that sets the lowest bucket's count to ``value``."""
+    def edit(record):
+        record["counts"][next(iter(record["counts"]))] = value
+    return edit
+
+
 class TestSnapshots:
     def filled(self):
         registry = TelemetryRegistry()
@@ -201,6 +208,34 @@ class TestSnapshots:
         registry = TelemetryRegistry()
         with pytest.raises(ValueError, match="malformed"):
             registry.merge_snapshot({"histograms": {"x": {"bad": 1}}})
+
+    @pytest.mark.parametrize("field, edit", [
+        pytest.param("count", lambda r: r.update(count=40),
+                     id="count-inflated"),
+        pytest.param(r"counts\[", first_bucket(-1), id="negative-bucket"),
+        pytest.param(r"counts\[", first_bucket("1"), id="string-bucket"),
+        pytest.param(r"counts\[", first_bucket(True), id="bool-bucket"),
+        pytest.param("zeros", lambda r: r.update(zeros=True),
+                     id="bool-zeros"),
+        pytest.param("zeros", lambda r: r.update(zeros=-1, count=3),
+                     id="negative-zeros"),
+        pytest.param("min", lambda r: r.update(min=None), id="min-missing"),
+        pytest.param("min", lambda r: r.update(min=500), id="min-above-max"),
+        pytest.param("min/max", lambda r: r.update(
+            counts={}, count=0, sum=0), id="empty-with-bounds"),
+    ])
+    def test_inconsistent_histogram_record_rejected(self, field, edit):
+        """A record whose fields disagree must not merge: an inflated
+        count would otherwise move p50 from ~2 to 100."""
+        worker = TelemetryRegistry()
+        worker.histogram("gap").observe_many([1, 2, 3, 100])
+        snapshot = worker.snapshot()
+        edit(snapshot["histograms"]["gap"])
+        parent = TelemetryRegistry()
+        with pytest.raises(ValueError, match=f"malformed histogram record: "
+                                             f"{field}"):
+            parent.merge_snapshot(snapshot)
+        assert "gap" not in parent.snapshot()["histograms"]
 
     def test_merged_histogram_is_exact(self):
         """Registry-level fan-in inherits the sketch's exact merge."""

@@ -1,14 +1,10 @@
-"""Unit behavior of the streaming sketches: LogHistogram and P2Quantile."""
+"""Unit behavior of the streaming sketch, LogHistogram."""
 
 import math
 
 import pytest
 
-from repro.observe.telemetry.sketch import (
-    DEFAULT_SUBBUCKETS,
-    LogHistogram,
-    P2Quantile,
-)
+from repro.observe.telemetry.sketch import DEFAULT_SUBBUCKETS, LogHistogram
 
 
 class TestLogHistogramRecording:
@@ -200,137 +196,3 @@ class TestLogHistogramSerialization:
             LogHistogram.from_dict({"subbuckets": 16, "counts": "nope",
                                     "zeros": 0, "count": 0, "sum": 0,
                                     "min": None, "max": None})
-
-
-class TestP2Quantile:
-    def test_small_streams_are_exact(self):
-        sketch = P2Quantile(0.5)
-        for value in (9, 1, 5):
-            sketch.observe(value)
-        assert sketch.value() == 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            P2Quantile(0.5).value()
-
-    def test_bad_quantile_rejected(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_median_of_uniform_stream(self):
-        sketch = P2Quantile(0.5)
-        for value in range(1, 1001):
-            sketch.observe(value)
-        assert 450 <= sketch.value() <= 550
-
-    def test_p99_tracks_the_tail(self):
-        sketch = P2Quantile(0.99)
-        for value in range(1, 1001):
-            sketch.observe(value)
-        assert 950 <= sketch.value() <= 1000
-
-    def test_merge_mismatched_quantile_rejected(self):
-        with pytest.raises(ValueError, match="cannot merge"):
-            P2Quantile(0.5).merge(P2Quantile(0.9))
-
-    def test_merge_with_empty_is_identity(self):
-        sketch = P2Quantile(0.5)
-        for value in range(50):
-            sketch.observe(value)
-        before = sketch.value()
-        sketch.merge(P2Quantile(0.5))
-        assert sketch.value() == before
-
-    def test_merge_into_empty_copies(self):
-        full = P2Quantile(0.5)
-        for value in range(50):
-            full.observe(value)
-        empty = P2Quantile(0.5)
-        empty.merge(full)
-        assert empty.count == 50
-        assert empty.value() == full.value()
-
-    def test_merge_of_small_sides_is_exact(self):
-        left, right = P2Quantile(0.5), P2Quantile(0.5)
-        for value in (1, 9):
-            left.observe(value)
-        for value in (5,):
-            right.observe(value)
-        left.merge(right)
-        assert left.value() == 5
-
-    def test_exact_nearest_rank_through_five_samples(self):
-        """The raw window is count <= 5 for *every* q: at five samples
-        the heights are still sorted raw values, so an extreme quantile
-        must read its nearest rank, not the middle height."""
-        samples = [50, 10, 40, 20, 30]
-        for q in (0.01, 0.25, 0.5, 0.75, 0.99):
-            sketch = P2Quantile(q)
-            for n, value in enumerate(samples, start=1):
-                sketch.observe(value)
-                window = sorted(samples[:n])
-                rank = max(1, math.ceil(q * n))
-                assert sketch.value() == window[rank - 1], (q, n)
-
-    def test_five_samples_at_extreme_quantiles(self):
-        low, high = P2Quantile(0.01), P2Quantile(0.99)
-        for value in (10, 20, 30, 40, 50):
-            low.observe(value)
-            high.observe(value)
-        assert low.value() == 10       # not heights[2] == 30
-        assert high.value() == 50
-
-    def test_sixth_sample_hands_over_to_markers(self):
-        """From the sixth sample the estimate is heights[2] — within
-        the observed range immediately, converging as the stream grows."""
-        sketch = P2Quantile(0.99)
-        for value in (10, 20, 30, 40, 50, 60):
-            sketch.observe(value)
-        assert 10 <= sketch.value() <= 60
-        for value in range(70, 1010, 10):
-            sketch.observe(value)
-        assert sketch.value() >= 900
-
-    def test_merge_union_crossing_five_keeps_marker_invariants(self):
-        """3 + 4 raw samples cross the marker threshold.  The merged
-        estimator must hold exactly five heights (six would corrupt the
-        next observe's cell search) and keep estimating sensibly."""
-        left, right = P2Quantile(0.5), P2Quantile(0.5)
-        for value in (1, 5, 9):
-            left.observe(value)
-        for value in (2, 4, 6, 8):
-            right.observe(value)
-        left.merge(right)
-        assert left.count == 7
-        assert len(left._heights) == 5
-        assert left._heights == sorted(left._heights)
-        assert 2 <= left.value() <= 8
-        for value in range(10, 200):
-            left.observe(value)           # the corruption would bite here
-        assert left._heights == sorted(left._heights)
-        assert 50 <= left.value() <= 150
-
-    def test_merge_order_is_symmetric_for_small_sides(self):
-        def build(samples):
-            sketch = P2Quantile(0.5)
-            for value in samples:
-                sketch.observe(value)
-            return sketch
-
-        ab = build((1, 5, 9))
-        ab.merge(build((2, 4, 6, 8)))
-        ba = build((2, 4, 6, 8))
-        ba.merge(build((1, 5, 9)))
-        assert ab.value() == ba.value()
-        assert ab._heights == ba._heights
-
-    def test_merged_estimate_is_reasonable(self):
-        left, right = P2Quantile(0.5), P2Quantile(0.5)
-        for value in range(1, 501):
-            left.observe(value)
-        for value in range(500, 1001):
-            right.observe(value)
-        left.merge(right)
-        assert 350 <= left.value() <= 650

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.observe.telemetry.registry import TelemetryRegistry
+from repro.paging.replacement import make_policy
+from repro.serve.pool import SharedFramePool
+from repro.serve.tenant import TenantView
 from repro.traffic.engine import (
     DEFAULT_LOADS,
+    TrafficPointResult,
+    _serve_tick,
     build_points,
     generate_sessions,
     point_id,
@@ -12,6 +17,7 @@ from repro.traffic.engine import (
     run_traffic_point,
     simulate_traffic,
 )
+from repro.traffic.session import ActiveSession, SessionSpec
 
 
 def tiny_point(offered=1.0, seed=0, **overrides):
@@ -107,6 +113,50 @@ class TestConservation:
         (pool,) = captured
         assert pool.ref_total == 0
         assert not pool._views
+        pool.check_invariants()
+
+
+class TestStalls:
+    """A session with nothing left to self-evict stalls for the tick:
+    the stall is counted and the same reference is retried later."""
+
+    @staticmethod
+    def serve_one_tick(pool, view, trace, writes):
+        spec = SessionSpec(sid=0, arrival=0, quota=view.quota, pages=8,
+                           length=len(trace), shared_pages=view.shared_pages,
+                           write_fraction=0.0, seed=0)
+        session = ActiveSession(spec, view, make_policy("lru"), trace, writes)
+        result = TrafficPointResult()
+        _serve_tick(session, tick=0, refs_per_tick=4, fetch_time=1,
+                    device_free_at=0, pool=pool, result=result)
+        return session, result
+
+    def test_fault_into_a_pool_pinned_by_another_view(self):
+        pool = SharedFramePool(2)
+        other = TenantView(pool, "other")
+        other.acquire(0)
+        other.acquire(1)
+        view = TenantView(pool, "s0", quota=2)
+        session, result = self.serve_one_tick(pool, view, [5], [False])
+        assert result.stalls == 1
+        assert session.position == 0
+        assert (result.refs, result.faults, result.evictions) == (0, 0, 0)
+        assert view.resident_count == 0
+        pool.check_invariants()
+
+    def test_cow_break_with_only_the_written_page_resident(self):
+        pool = SharedFramePool(2)
+        view = TenantView(pool, "s0", quota=2, shared_pages=1)
+        view.acquire(0)
+        other = TenantView(pool, "other", shared_pages=1)
+        other.acquire(0)   # pins the shared frame a second time
+        other.acquire(1)   # and fills the pool
+        session, result = self.serve_one_tick(pool, view, [0], [True])
+        assert result.stalls == 1
+        assert session.position == 0
+        assert (result.refs, result.evictions) == (0, 0)
+        assert view.key_for(0) == ("shared", 0)
+        assert pool.ref_count(("shared", 0)) == 2
         pool.check_invariants()
 
 
