@@ -13,9 +13,7 @@ This package provides drop-in fast paths for both:
 
 - :mod:`repro.fastpath.replay` — whole-trace replay kernels for the
   FIFO, LRU, CLOCK and Belady-OPT policies that consume the trace in one
-  tight loop over dict/array state instead of per-access dispatch, plus
-  :func:`replay_advised` extending kernel coverage to
-  ``AdvisedReplacementPolicy`` wrappers over those bases.
+  tight loop over dict/array state instead of per-access dispatch.
   ``simulate_trace(..., fast=True)`` auto-selects them.
 - :mod:`repro.fastpath.columnar` — vectorized (numpy) replay over
   column-backed traces (:class:`repro.trace.ColumnarTrace` and
@@ -55,7 +53,6 @@ from repro.fastpath.columnar import run_columnar
 from repro.fastpath.holes import HoleIndex
 from repro.fastpath.replay import (
     FAST_KERNELS,
-    replay_advised,
     replay_clock,
     replay_fifo,
     replay_lru,
@@ -66,7 +63,6 @@ from repro.fastpath.replay import (
 __all__ = [
     "FAST_KERNELS",
     "HoleIndex",
-    "replay_advised",
     "replay_clock",
     "replay_fifo",
     "replay_lru",

@@ -389,7 +389,10 @@ def run_columnar(
 
     A ``BeladyOptimalPolicy`` must be validated against the trace by the
     caller (``run_fast`` does), exactly as for the list kernels.
+    Non-positive ``frames`` raise the reference loop's ``ValueError``.
     """
+    if frames <= 0:
+        raise ValueError(f"frames must be positive, got {frames}")
     state_type = _STATE_TYPES.get(type(policy))
     if state_type is None:
         return None

@@ -33,8 +33,8 @@ How each kernel preserves reference semantics:
 Write flags need no special handling here: none of these four strategies
 lets the modified bit influence victim choice, so results are identical
 with or without ``writes``.  Policies whose choices *do* depend on writes
-(M44) or on randomness (random) have no kernel and fall back to the
-reference loop.
+(M44), on randomness (random) or on advice (``AdvisedReplacementPolicy``)
+have no kernel and fall back to the reference loop.
 
 The FIFO and LRU kernels carry two loop bodies — one that tracks the
 reference index for fault-position recording, and a hotter one that does
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence
 
-from repro.advice.pager import AdvisedReplacementPolicy
 from repro.fastpath.columnar import run_columnar
 from repro.paging.replacement.base import ReplacementPolicy
 from repro.paging.replacement.belady import BeladyOptimalPolicy
@@ -299,146 +298,6 @@ def replay_opt(
     )
 
 
-def replay_advised(
-    trace: Sequence[Hashable],
-    frames: int,
-    policy: AdvisedReplacementPolicy,
-    record_positions: bool = False,
-    record_evictions: bool = False,
-) -> SimulationResult:
-    """Batched replay of an advice-decorated FIFO/LRU/CLOCK/OPT policy.
-
-    Mirrors :class:`~repro.advice.pager.AdvisedReplacementPolicy` exactly:
-    a hit retires a stale WONT_NEED hint (``on_access`` does; a faulting
-    load does not); at eviction time the first *resident, unlocked* hint
-    in hint order wins, otherwise the base policy chooses among the
-    unlocked residents (or all of them, when every page is locked —
-    advice must never wedge the system).  The CLOCK base keeps its quirk:
-    its ``choose_victim`` ignores the candidate list and sweeps its own
-    ring, locks and all.
-
-    The kernel works on *copies* of the policy's hint list and lock set —
-    like every kernel here it leaves the policy object untouched.
-    """
-    base = policy.base
-    kind = type(base)
-    refs = _as_fast_sequence(trace)
-    hints = list(policy.discard_hints)
-    locked = set(policy.locked)
-    resident: dict[Hashable, float | None] = {}   # insertion = load order
-    seen: set[Hashable] = set()
-    faults = cold_faults = evictions = 0
-    positions: list[int] = []
-    victims: list[Hashable] = []
-
-    is_lru = kind is LruPolicy
-    is_clock = kind is ClockPolicy
-    is_opt = kind is BeladyOptimalPolicy
-    last_use: dict[Hashable, int] = {}
-    ring: list[Hashable] = []
-    hand = 0
-    referenced: dict[Hashable, bool] = {}
-    next_use: list[float] = []
-    if is_opt:
-        n = len(refs)
-        next_use = [0] * n
-        last_seen: dict[Hashable, int] = {}
-        for index in range(n - 1, -1, -1):
-            page = refs[index]
-            next_use[index] = last_seen.get(page, _NEVER)
-            last_seen[page] = index
-
-    for index, page in enumerate(refs):
-        if page in resident:
-            # on_access: retire a stale hint, then base bookkeeping.
-            if hints and page in hints:
-                hints.remove(page)
-            if is_lru:
-                last_use[page] = index
-            elif is_clock:
-                referenced[page] = True
-            elif is_opt:
-                resident[page] = next_use[index]
-            continue
-        faults += 1
-        if page not in seen:
-            cold_faults += 1
-            seen.add(page)
-        if record_positions:
-            positions.append(index)
-        if len(resident) == frames:
-            victim = _MISS
-            for hint in hints:
-                if hint in resident and hint not in locked:
-                    victim = hint
-                    hints.remove(hint)
-                    break
-            if victim is _MISS:
-                if is_clock:
-                    # The reference ring sweep (at most two turns), hand
-                    # left on the spared-or-chosen element.
-                    for _ in range(2 * len(ring)):
-                        hand %= len(ring)
-                        victim = ring[hand]
-                        if referenced.get(victim, False):
-                            referenced[victim] = False
-                            hand += 1
-                        else:
-                            break
-                    else:
-                        victim = ring[hand % len(ring)]
-                else:
-                    if locked:
-                        candidates = [p for p in resident if p not in locked]
-                        if not candidates:
-                            candidates = resident
-                    else:
-                        candidates = resident
-                    if kind is FifoPolicy:
-                        # min(loaded_at) = first candidate in load order.
-                        victim = next(iter(candidates))
-                    elif is_lru:
-                        victim = min(candidates, key=last_use.__getitem__)
-                    else:   # opt: strict > scan = max()'s first-of-equals
-                        farthest = -1.0
-                        for candidate in candidates:
-                            use = resident[candidate]
-                            if use > farthest:
-                                victim, farthest = candidate, use
-            # on_evict: drop the victim's hint and base state.
-            del resident[victim]
-            if hints and victim in hints:
-                hints.remove(victim)
-            if is_lru:
-                del last_use[victim]
-            elif is_clock:
-                slot = ring.index(victim)
-                del ring[slot]
-                if slot < hand:
-                    hand -= 1
-                referenced.pop(victim, None)
-            evictions += 1
-            if record_evictions:
-                victims.append(victim)
-        # on_load: no hint retirement (the driver reports it as a load).
-        resident[page] = next_use[index] if is_opt else None
-        if is_lru:
-            last_use[page] = index
-        elif is_clock:
-            ring.append(page)
-            referenced[page] = False   # a faulting access sets no bit
-    return SimulationResult(
-        policy=policy.name,
-        frames=frames,
-        references=len(refs),
-        faults=faults,
-        evictions=evictions,
-        cold_faults=cold_faults,
-        fault_positions=positions,
-        victims=victims,
-    )
-
-
 _Kernel = Callable[..., SimulationResult]
 
 #: Exact-type registry: a subclass may override ``choose_victim``, so only
@@ -467,34 +326,24 @@ def run_fast(
     traces; when they decline (no numpy, small trace, sparse id space,
     fault-dominated workload) the list kernels here run instead, and a
     policy with no kernel at all returns None for the reference loop.
-    An :class:`~repro.advice.pager.AdvisedReplacementPolicy` over a
-    kernel-eligible base dispatches to :func:`replay_advised`.
+    Only the exact types in :data:`FAST_KERNELS` have a kernel, so an
+    ``AdvisedReplacementPolicy`` runs the reference loop whatever its
+    base.
 
-    A Belady policy (bare or advised base) is only fast-pathed when it
-    is fresh and was built for exactly this trace; otherwise the
-    reference loop runs (and raises its usual trace-mismatch error),
-    keeping error behaviour identical.
+    A Belady policy is only fast-pathed when it is fresh and was built
+    for exactly this trace; otherwise the reference loop runs (and
+    raises its usual trace-mismatch error), keeping error behaviour
+    identical.  Non-positive ``frames`` raise the reference loop's
+    ``ValueError``.
 
     ``telemetry`` (a :class:`~repro.observe.telemetry.TelemetryRegistry`)
     reaches only the columnar tier, which times its chunk sweeps; the
     list kernels are single tight loops with nothing to bracket, and
     the caller records aggregates from the returned result.
     """
+    if frames <= 0:
+        raise ValueError(f"frames must be positive, got {frames}")
     policy_type = type(policy)
-    if policy_type is AdvisedReplacementPolicy:
-        base = policy.base
-        if type(base) not in FAST_KERNELS:
-            return None
-        if type(base) is BeladyOptimalPolicy:
-            if base.cursor != 0 or not base.matches_trace(trace):
-                return None
-        return replay_advised(
-            trace,
-            frames,
-            policy,
-            record_positions=record_positions,
-            record_evictions=record_evictions,
-        )
     kernel = FAST_KERNELS.get(policy_type)
     if kernel is None:
         return None

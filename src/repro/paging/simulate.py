@@ -19,10 +19,9 @@ mmap'd from an ``.rtrc`` file, or an array-backed workload trace) and
 numpy is importable, the vectorized kernels in
 :mod:`repro.fastpath.columnar` run first; they decline — returning the
 work to the list kernels — on unsupported shapes or eviction-dominated
-workloads where chunked span-skipping cannot pay.  Advised policies
-wrapping a kernel-covered base take the same path through
-``replay_advised``.  Every tier honours the same contract: identical
-faults, positions and victim sequences, differing only in wall-clock.
+workloads where chunked span-skipping cannot pay.  Every tier honours
+the same contract: identical faults, positions and victim sequences,
+differing only in wall-clock.
 """
 
 from __future__ import annotations

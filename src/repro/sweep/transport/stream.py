@@ -242,7 +242,9 @@ class StreamTransport:
                         if respawns <= 0:
                             return
                         respawns -= 1
-                        continue
+                    # Other slots ran during the await and may have
+                    # drained the work: test the loop condition again.
+                    continue
                 spec = work.popleft()
                 try:
                     record = await self._roundtrip(proc, spec)

@@ -181,6 +181,10 @@ def _print_report(result, name: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     options = build_parser().parse_args(argv)
+    if options.workers is not None and options.workers < 0:
+        print(f"error: workers must be positive, got {options.workers}",
+              file=sys.stderr)
+        return 2
     overrides = {}
     if options.pool_frames is not None:
         overrides["pool_frames"] = options.pool_frames

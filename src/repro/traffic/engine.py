@@ -45,6 +45,7 @@ from typing import Callable, Iterable
 from repro.errors import OutOfMemory
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.telemetry.sketch import LogHistogram
+from repro.paging.replacement import make_policy
 from repro.sweep.engine import CampaignResult, coordinate
 from repro.sweep.grid import SCHEMA, derive_seed
 from repro.sweep.shard import run_safely
@@ -161,6 +162,11 @@ def build_points(
     multiplies, so 0.5 / 1.0 / 1.5 land below, at, and above
     saturation.  ``overrides`` replace any sizing field
     (``pool_frames``, ``horizon``, ``watermark``, ...).
+
+    Raises ``ValueError`` for anything that would fail every point in
+    its worker: an unknown axis value, a non-positive ``pool_frames``,
+    ``horizon`` or load, or a replacement policy that sessions cannot
+    build (an unknown name, or ``opt``, which needs the trace).
     """
     if arrivals not in ARRIVAL_PROCESSES:
         known = ", ".join(sorted(ARRIVAL_PROCESSES))
@@ -175,6 +181,16 @@ def build_points(
     if unknown:
         raise ValueError(f"unknown sizing overrides: {sorted(unknown)}")
     sizing.update(overrides)
+    for key in ("pool_frames", "horizon"):
+        if sizing[key] <= 0:
+            raise ValueError(f"{key} must be positive, got {sizing[key]}")
+    try:
+        make_policy(replacement)   # sessions build theirs the same way
+    except TypeError:
+        raise ValueError(
+            f"replacement policy {replacement!r} needs the whole trace "
+            "up front; traffic sessions cannot run it"
+        ) from None
     quotas = tuple(sizing["quotas"])
     mean_quota = sum(quotas) / len(quotas)
     capacity = sizing["pool_frames"] / mean_quota

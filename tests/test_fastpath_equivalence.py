@@ -17,6 +17,7 @@ import pytest
 
 from repro.alloc import FreeListAllocator
 from repro.errors import OutOfMemory
+from repro.fastpath import run_columnar, run_fast
 from repro.paging import (
     BeladyOptimalPolicy,
     ClockPolicy,
@@ -25,6 +26,7 @@ from repro.paging import (
     make_policy,
     simulate_trace,
 )
+from repro.trace import ColumnarTrace
 from repro.workload import (
     exponential_requests,
     phased_trace,
@@ -164,6 +166,21 @@ class TestFastDispatchGuards:
             trace, 2, LruPolicy(), writes=writes, fast=False
         )
         assert result.faults == reference.faults
+
+    @pytest.mark.parametrize("name", FAST_POLICIES)
+    @pytest.mark.parametrize("frames", (0, -1))
+    def test_non_positive_frames_rejected(self, name, frames):
+        # The public entry points reject frames like the reference loop
+        # does, instead of failing inside a kernel or replaying anyway.
+        trace = [1, 2, 3, 1, 2]
+        message = f"frames must be positive, got {frames}"
+        with pytest.raises(ValueError, match=message):
+            run_fast(trace, frames, _make_policy(name, trace))
+        columnar = ColumnarTrace(trace)
+        with pytest.raises(ValueError, match=message):
+            run_columnar(
+                columnar, frames, _make_policy(name, columnar), force=True
+            )
 
 
 def _drive(allocator: FreeListAllocator, requests):

@@ -7,6 +7,7 @@ checkpoint; (3) every spec comes back as exactly one record — result
 or failure — even when no worker can be started at all.
 """
 
+import asyncio
 import io
 import json
 
@@ -225,6 +226,27 @@ class TestStreamLoss:
 
     def test_empty_spec_list_is_a_no_op(self):
         assert list(StreamTransport(workers=1).run([])) == []
+
+    def test_slot_whose_spawn_outlasts_the_work_takes_none(self):
+        """Other slots run while one awaits its spawn; if they drain the
+        queue meanwhile, the late slot must stop, not pop an empty one."""
+        class SlowSecondSpawn(StreamTransport):
+            spawned = 0
+
+            async def _spawn(self, host):
+                self.spawned += 1
+                await asyncio.sleep(0 if self.spawned == 1 else 0.05)
+                return object()
+
+            async def _roundtrip(self, proc, spec):
+                return dict(spec)
+
+            async def _close(self, proc):
+                pass
+
+        specs = [{"shard": name} for name in ("a", "b", "c")]
+        records = list(SlowSecondSpawn(workers=2).run(specs))
+        assert sorted(r["shard"] for r in records) == ["a", "b", "c"]
 
 
 class TestWorkerProtocol:

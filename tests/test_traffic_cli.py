@@ -38,6 +38,22 @@ class TestRuns:
         assert run(tmp_path, "--loads", "-1") == 2
         assert "offered load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pool-frames", "0", "pool_frames must be positive, got 0"),
+        ("--horizon", "0", "horizon must be positive, got 0"),
+        ("--replacement", "bogus", "unknown replacement policy 'bogus'"),
+        ("--replacement", "opt", "'opt' needs the whole trace"),
+        ("--workers", "-2", "workers must be positive, got -2"),
+    ], ids=["pool-frames", "horizon", "unknown-replacement",
+            "opt-replacement", "negative-workers"])
+    def test_bad_argument_fails_before_any_worker(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        assert run(tmp_path, flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert list(tmp_path.iterdir()) == []   # no results, no heartbeat
+
     def test_unknown_arrivals_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             run(tmp_path, "--arrivals", "sawtooth")
