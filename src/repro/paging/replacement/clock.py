@@ -39,8 +39,18 @@ class ClockPolicy(ReplacementPolicy):
             self._referenced[page] = True
 
     def choose_victim(self, resident: list[Hashable], now: int) -> Hashable:
+        """The first page under the hand with its bit clear that is one
+        of ``resident``.
+
+        A referenced page is spared (bit cleared, hand moves on),
+        candidate or not.  An unreferenced page outside ``resident`` — a
+        locked page, or the page a self-evicting caller must keep — is
+        passed as well, not returned.  When ``resident`` is the whole
+        ring, the sweep is the classic one.
+        """
         if not self._ring:
             raise RuntimeError("clock ring empty but a victim was requested")
+        candidates = set(resident)
         # Sweep at most two full turns: the first may clear every bit.
         for _ in range(2 * len(self._ring)):
             self._hand %= len(self._ring)
@@ -48,10 +58,12 @@ class ClockPolicy(ReplacementPolicy):
             if self._referenced.get(page, False):
                 self._referenced[page] = False
                 self._hand += 1
-            else:
+            elif page in candidates:
                 return page
-        # Unreachable: after one full sweep all bits are clear.
-        return self._ring[self._hand % len(self._ring)]
+            else:
+                self._hand += 1
+        # No candidate is on the ring: the policy never loaded one.
+        return resident[0]
 
     def on_evict(self, page: Hashable) -> None:
         try:

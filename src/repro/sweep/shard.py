@@ -313,7 +313,8 @@ def _traffic(spec: dict, config, telemetry: TelemetryRegistry) -> dict:
     The point inherits the shard's replacement policy and offered load,
     and the machine's fetch timing scaled to tick units; its seeds root
     at the shard's ``traffic`` channel, so the leg is bit-reproducible
-    like the others and independent of every other leg.
+    like the others and independent of every other leg.  A checked
+    shard audits the point's pool and views as it runs.
     """
     from repro.traffic.engine import (
         build_points,
@@ -338,7 +339,9 @@ def _traffic(spec: dict, config, telemetry: TelemetryRegistry) -> dict:
         horizon=160,
         fetch_time=max(1, round(config.page_fetch_time / TRAFFIC_FETCH_SCALE)),
     )[0]
-    result = simulate_traffic(spec_point, telemetry=telemetry)
+    result = simulate_traffic(
+        spec_point, telemetry=telemetry, checked=spec["checked"]
+    )
 
     return {
         "traffic_arrivals": result.arrivals,

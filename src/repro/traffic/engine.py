@@ -42,7 +42,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable
 
-from repro.errors import OutOfMemory
+from repro.errors import InvariantViolation, OutOfMemory
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.telemetry.sketch import LogHistogram
 from repro.paging.replacement import make_policy
@@ -278,7 +278,10 @@ def generate_sessions(spec: dict) -> list[SessionSpec]:
 
 
 def simulate_traffic(
-    spec: dict, telemetry: TelemetryRegistry | None = None
+    spec: dict,
+    telemetry: TelemetryRegistry | None = None,
+    *,
+    checked: bool = False,
 ) -> TrafficPointResult:
     """Run one offered-load point; returns the measured result.
 
@@ -286,10 +289,18 @@ def simulate_traffic(
     ``traffic.*`` counters/gauges and the wait sketches merge into the
     ``traffic.queue_wait`` / ``traffic.fault_wait`` histograms — all
     after the run, so telemetry changes no simulation bits.
+
+    ``checked=True`` audits the pool and every live session's view with
+    the invariant suite (refcount conservation included) before every
+    64th pool event — a fault, a write hit or a session's completion —
+    and once after the drain, when the pool must count no references.
+    A violation raises ``InvariantViolation``; a clean run's result is
+    the unchecked one.
     """
     from repro.serve.pool import SharedFramePool
 
     pool = SharedFramePool(spec["pool_frames"])
+    audit = _Audit(pool) if checked else None
     controller = AdmissionController(
         spec["pool_frames"],
         watermark=spec["watermark"],
@@ -338,6 +349,7 @@ def simulate_traffic(
                     session_spec = queue.pop(index)
                     session = session_spec.materialize(pool, replacement)
                     session.admitted_at = tick
+                    session.audit = audit
                     result.materialized += 1
                     result.admitted += 1
                     result.queue_wait.observe(tick - session_spec.arrival)
@@ -371,6 +383,8 @@ def simulate_traffic(
             if session.done:
                 finished.append(session)
         for session in finished:
+            if audit is not None:
+                audit()
             for page in session.view.resident_pages():
                 session.view.release(page)
             pool.unregister_view(session.view)
@@ -389,6 +403,8 @@ def simulate_traffic(
                 f"{deadline} ticks ({len(active)} sessions still active)"
             )
 
+    if audit is not None:
+        audit.drained()
     result.ticks = tick
     stats = pool.stats
     result.shares = stats.shares
@@ -408,112 +424,184 @@ def _serve_tick(
     result: TrafficPointResult,
 ) -> int:
     """Advance one session up to ``refs_per_tick`` references or its
-    first hard fetch; returns the updated device clock."""
+    first hard fetch; returns the updated device clock.
+
+    The session's resident dict answers every residency question.  A
+    hit on an LRU session moves its page to the end of the dict, a hit
+    on a FIFO session moves nothing, and any other policy hears
+    ``on_access``; :func:`_evict` names victims the same way.  Only
+    faults, evictions and writes reach the view, and through it the
+    pool.
+    """
     view = session.view
-    policy = session.policy
-    served = 0
-    while served < refs_per_tick and not session.done:
-        position = session.position
-        page = session.trace[position]
-        write = session.writes[position]
-        if page in view:
+    resident = session.resident
+    trace = session.trace
+    writes = session.writes
+    policy = None if session.kernel else session.policy
+    recency = session.recency
+    audit = session.audit
+    quota = view.quota
+    start = position = session.position
+    end = min(start + refs_per_tick, len(trace))
+    faults = 0
+    for position in range(start, end):
+        page = trace[position]
+        write = writes[position]
+        if page in resident:
             if write:
+                if audit is not None:
+                    audit()
                 try:
                     view.note_write(page)
                 except OutOfMemory:
-                    if _retry_self_evicting(
-                        session, view.note_write, page, position, result
-                    ) is _STALLED:
+                    if _evict(session, page, position, result,
+                              view.note_write) is _STALLED:
                         break   # stalled: retry this reference next tick
-            policy.on_access(page, position, modified=write)
-            session.position += 1
-            served += 1
-            result.refs += 1
+            if recency:
+                del resident[page]
+                resident[page] = None
+            elif policy is not None:
+                policy.on_access(page, position, modified=write)
             continue
         # A fault against this session's view.
-        if view.is_full():
-            victim = policy.choose_victim(view.resident_pages(), position)
-            view.release(victim)
-            policy.on_evict(victim)
-            result.evictions += 1
+        if audit is not None:
+            audit()
+        if len(resident) >= quota:
+            _evict(session, page, position, result)
         try:
             detail = view.acquire_detail(page)
         except OutOfMemory:
-            detail = _retry_self_evicting(
-                session, view.acquire_detail, page, position, result
-            )
+            detail = _evict(session, page, position, result,
+                            view.acquire_detail)
             if detail is _STALLED:
                 break   # stalled: retry this reference next tick
-        hit = detail[1]
-        policy.on_load(page, position, modified=write)
-        session.position += 1
-        served += 1
-        result.refs += 1
-        result.faults += 1
-        session.faults += 1
-        if hit is None:
+        resident[page] = None
+        if policy is not None:
+            policy.on_load(page, position, modified=write)
+        faults += 1
+        if detail[1] is None:
             # Hard fetch: serialize on the backing device.  The wait is
             # the queueing delay plus the transfer — the open system's
             # tail under load — and the session *blocks* until the
             # device delivers, so a saturated device slows its tenants
             # (closed-loop backpressure) instead of queueing unboundedly.
-            now = tick * refs_per_tick + served
-            start = max(now, device_free_at)
-            done_at = start + fetch_time
+            position += 1
+            now = tick * refs_per_tick + position - start
+            begin = max(now, device_free_at)
+            done_at = begin + fetch_time
             device_free_at = done_at
             result.fault_wait.observe(done_at - now)
             result.fetches += 1
             session.fetches += 1
             session.blocked_until = -(-done_at // refs_per_tick)
             break   # the fetch consumes the rest of this tick
+    else:
+        position = end
+    session.position = position
+    result.refs += position - start
+    result.faults += faults
+    session.faults += faults
     return device_free_at
 
 
-#: Sentinel ``_retry_self_evicting`` returns when the session must stall
-#: (distinct from every value the retried call can return, including None).
+#: Sentinel ``_evict`` returns when the session must stall (distinct
+#: from every value the retried call can return, including None).
 _STALLED = object()
 
 
-def _retry_self_evicting(
+def _evict(
     session: ActiveSession,
-    attempt: Callable,
     page,
     position: int,
     result: TrafficPointResult,
+    attempt: Callable | None = None,
 ):
-    """Retry ``attempt(page)`` after an ``OutOfMemory``, self-evicting
-    the session's other resident pages until the pool yields a frame.
+    """Release the session's next victim other than ``page``.
 
-    Under overcommit every frame can be pinned when a session faults
+    A kernel session's victim is the first key of its resident dict that
+    is not ``page``: the least ``last_use`` (LRU) or ``loaded_at``
+    (FIFO) among the candidates, since those stamps are distinct
+    positions.  Any other session asks ``policy.choose_victim`` over
+    the same candidates, in load order.  ``page`` is never a victim: a
+    faulting page is not resident yet, and a written page must stay
+    mapped to break.
+
+    Without ``attempt`` one victim is released: a fault on a full view.
+    With it, ``attempt(page)`` has just raised ``OutOfMemory``.  Under
+    overcommit every frame can be pinned when a session faults
     (``attempt`` is ``view.acquire_detail``) or breaks copy-on-write on
     a shared page it writes (``view.note_write``).  Releasing one of the
     session's own pages does not always free a frame — a victim mapping
     shared content still pinned by other tenants only drops a
-    refcount — so the loop runs until ``attempt`` succeeds, returning
-    its value.  ``page`` is never a victim: a faulting page is not
-    resident yet, and a written page must stay mapped to break.  When
-    no other page is left, the session stalls: the stall is counted
-    and :data:`_STALLED` returned, and the session retries the same
-    reference next tick, by which time some other session has
-    completed and released (if *every* session stripped itself bare,
-    all refcounts would be zero and an acquire could not fail — so
-    global progress is guaranteed).
+    refcount — so victims go until ``attempt`` succeeds, and its value
+    is returned.  When no other page is left, the session stalls: the
+    stall is counted and :data:`_STALLED` returned, and the session
+    retries the same reference next tick, by which time some other
+    session has completed and released (if *every* session stripped
+    itself bare, all refcounts would be zero and an acquire could not
+    fail — so global progress is guaranteed).
     """
     view = session.view
-    policy = session.policy
+    resident = session.resident
+    policy = None if session.kernel else session.policy
     while True:
-        others = [p for p in view.resident_pages() if p != page]
-        if not others:
-            result.stalls += 1
-            return _STALLED
-        victim = policy.choose_victim(others, position)
+        if policy is None:
+            for victim in resident:
+                if victim != page:
+                    break
+            else:
+                result.stalls += 1
+                return _STALLED
+        else:
+            others = [other for other in resident if other != page]
+            if not others:
+                result.stalls += 1
+                return _STALLED
+            victim = policy.choose_victim(others, position)
         view.release(victim)
-        policy.on_evict(victim)
+        del resident[victim]
+        if policy is not None:
+            policy.on_evict(victim)
         result.evictions += 1
+        if attempt is None:
+            return None
         try:
             return attempt(page)
         except OutOfMemory:
             continue
+
+
+class _Audit:
+    """Checked mode's hook: ``audit()`` counts one pool event and runs
+    the invariant suite over the pool and its registered views — the
+    live sessions' — before every 64th; ``drained()`` is the last
+    audit."""
+
+    __slots__ = ("pool", "suite", "events")
+
+    def __init__(self, pool) -> None:
+        from repro.check.invariants import InvariantSuite
+
+        self.pool = pool
+        self.suite = InvariantSuite()
+        self.events = 0
+
+    def __call__(self) -> None:
+        if self.events % 64 == 0:
+            self.suite.check_all([self.pool, *self.pool.views])
+        self.events += 1
+
+    def drained(self) -> None:
+        """Every session has released its pages and left the ledger, so
+        no tenant view holds a reference the pool may still count."""
+        pool = self.pool
+        self.suite.check_all([pool, *pool.views])
+        if pool.ref_total:
+            raise InvariantViolation(
+                "refcount_conservation",
+                f"drained pool still counts {pool.ref_total} references",
+                pool,
+            )
 
 
 def _record_telemetry(

@@ -11,6 +11,14 @@ replacement policy, and the reference stream (a generated phased trace,
 or a window of an on-disk ``.rtrc`` columnar trace).  The engine's
 tests pin that the number of materializations equals the number of
 admissions — queued and shed sessions never pay.
+
+An :class:`ActiveSession` keeps its resident pages in one dict, and the
+engine's tick asks it, not the view, whether a reference hits.  For a
+policy that is exactly :class:`~repro.paging.replacement.LruPolicy` or
+:class:`~repro.paging.replacement.FifoPolicy` the dict's order *is* the
+replacement state: the first key is the next victim.  Every other policy
+keeps its object and the dict stays in load order, the order
+``TenantView.resident_pages`` reports.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.paging.replacement.simple import FifoPolicy, LruPolicy
 from repro.serve.tenant import TenantView
 
 if TYPE_CHECKING:
@@ -27,6 +36,12 @@ if TYPE_CHECKING:
 #: file is immutable once written, so sharing one mmap across sessions
 #: changes no results — it only avoids reopening per session.
 _OPEN_TRACES: dict[str, object] = {}
+
+#: Policies whose state is the order of a session's resident dict,
+#: selected by exact type as ``FAST_KERNELS`` is (a subclass may
+#: override ``choose_victim``).  The value says whether a hit moves its
+#: page to the end: LRU orders by last use, FIFO by load.
+KERNEL_POLICIES: dict[type, bool] = {LruPolicy: True, FifoPolicy: False}
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +107,9 @@ class SessionSpec:
 class ActiveSession:
     """A materialized session making progress over the shared pool."""
 
-    __slots__ = ("spec", "view", "policy", "trace", "writes", "position",
-                 "admitted_at", "blocked_until", "faults", "fetches")
+    __slots__ = ("spec", "view", "policy", "trace", "writes", "resident",
+                 "kernel", "recency", "audit", "position", "admitted_at",
+                 "blocked_until", "faults", "fetches")
 
     def __init__(self, spec: SessionSpec, view: TenantView, policy,
                  trace: list[int], writes: list[bool]) -> None:
@@ -102,6 +118,16 @@ class ActiveSession:
         self.policy = policy
         self.trace = trace
         self.writes = writes
+        self.resident: dict[int, None] = dict.fromkeys(view.resident_pages())
+        """The view's resident pages; the first key is the next victim
+        when :attr:`kernel` is set, else they are in load order."""
+        recency = KERNEL_POLICIES.get(type(policy))
+        self.kernel = recency is not None
+        """The dict's order replaces the policy object."""
+        self.recency = bool(recency)
+        """A hit moves its page to the end of the dict (LRU)."""
+        self.audit = None
+        """Checked mode's hook, called before each fault and write hit."""
         self.position = 0
         self.admitted_at = -1
         self.blocked_until = 0

@@ -15,7 +15,13 @@ from repro.advice import (
 )
 from repro.clock import Clock
 from repro.memory import BackingStore, StorageLevel
-from repro.paging import DemandPager, FrameTable, LruPolicy
+from repro.paging import (
+    ClockPolicy,
+    DemandPager,
+    FrameTable,
+    LruPolicy,
+    simulate_trace,
+)
 
 
 class TestDirectives:
@@ -58,6 +64,16 @@ class TestAdvisedReplacementPolicy:
         policy.on_load("b", 1)
         policy.lock("a")
         assert policy.choose_victim(["a", "b"], 2) == "b"
+
+    @pytest.mark.parametrize("base", (LruPolicy, ClockPolicy))
+    def test_lock_protects_over_a_replay(self, base):
+        """A clock base must honour the unlocked candidates too: it used
+        to sweep the whole ring and evict the locked page."""
+        policy = AdvisedReplacementPolicy(base())
+        policy.lock(1)
+        result = simulate_trace([1, 2, 3, 4, 5, 6, 1], 3, policy,
+                                record_evictions=True, fast=False)
+        assert result.victims == [2, 3, 4]
 
     def test_all_locked_falls_back(self):
         """Advice must never wedge the system."""

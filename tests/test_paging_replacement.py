@@ -122,6 +122,18 @@ class TestClock:
         second = policy.choose_victim([p for p in ("a", "b", "c") if p != first], 2)
         assert second != first
 
+    def test_strict_subset_is_honoured(self):
+        """A page outside the candidates is passed like a referenced
+        one, never returned: the hand stops at the first candidate."""
+        policy = ClockPolicy()
+        for page in ("a", "b", "c"):
+            policy.on_load(page, 0)
+        policy.on_access("b", 1)
+        # a is passed, b's bit cleared, c taken.
+        assert policy.choose_victim(["b", "c"], 2) == "c"
+        policy.on_evict("c")
+        assert policy.choose_victim(["b"], 3) == "b"
+
     def test_eviction_keeps_ring_consistent(self):
         policy = ClockPolicy()
         for page in ("a", "b", "c"):

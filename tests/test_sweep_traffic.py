@@ -121,6 +121,46 @@ class TestTrafficLeg:
                 right["traffic_queue_wait_p99"]
 
 
+class TestCheckedTrafficLeg:
+    """``sweep --checked`` audits the traffic leg like every other."""
+
+    @staticmethod
+    def leg(checked):
+        from repro.core.builder import preset_config
+        from repro.observe.telemetry.registry import TelemetryRegistry
+        from repro.sweep.shard import _traffic
+
+        spec = next(iter(tiny_grid(offered=(1.5,)).shards())).spec(
+            checked=checked)
+        config = preset_config(spec["machine"],
+                               replacement_policy=spec["replacement"],
+                               placement_policy=spec["placement"])
+        return _traffic(spec, config, TelemetryRegistry())
+
+    def test_checked_leg_answers_as_the_unchecked_one(self):
+        assert self.leg(checked=True) == self.leg(checked=False)
+
+    def test_checked_leg_catches_a_planted_leak(self, monkeypatch):
+        from repro.errors import InvariantViolation
+        from repro.serve.refcount import RefCounter
+
+        incr = RefCounter.incr
+        calls = {"n": 0}
+
+        def leaky_incr(self, key):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                incr(self, key)
+            return incr(self, key)
+
+        monkeypatch.setattr(RefCounter, "incr", leaky_incr)
+        self.leg(checked=False)   # unchecked, the leak goes unnoticed
+        calls["n"] = 0
+        with pytest.raises(InvariantViolation,
+                           match="refcount_conservation"):
+            self.leg(checked=True)
+
+
 class TestReport:
     def test_offered_is_a_reported_axis(self):
         assert "offered" in AXES

@@ -160,6 +160,73 @@ class TestStalls:
         pool.check_invariants()
 
 
+class TestClockSessions:
+    def test_full_size_point_at_the_knee_completes(self):
+        """Clock used to answer a self-eviction with the written page
+        itself, outside the candidates it was given, and the point
+        failed with ``KeyError``."""
+        spec = build_points(loads=(1.0,), replacement="clock",
+                            quick=False)[0]
+        result = simulate_traffic(spec)
+        assert result.completed == result.admitted > 0
+        assert result.evictions > 0
+
+
+class TestChecked:
+    """``checked=True`` audits the pool and the live sessions' views
+    before every 64th pool event and once after the drain."""
+
+    def test_checked_record_equals_the_unchecked_one(self, monkeypatch):
+        from repro.traffic import engine, strip_nondeterministic
+
+        spec = tiny_point(offered=1.5, overcommit=2.0, watermark=0.0)
+        unchecked = run_traffic_point(spec)
+        simulate = engine.simulate_traffic
+        monkeypatch.setattr(
+            engine, "simulate_traffic",
+            lambda spec, telemetry=None: simulate(
+                spec, telemetry, checked=True),
+        )
+        checked = run_traffic_point(spec)
+        assert checked["stalls"] > 0 and checked["cow_breaks"] > 0
+        assert strip_nondeterministic(checked) == \
+            strip_nondeterministic(unchecked)
+
+    @pytest.mark.parametrize("nth", (1, 300, 636))
+    def test_planted_leak_is_caught(self, nth, monkeypatch):
+        """The ``nth`` pin counts twice, so the pool holds a reference
+        no session accounts for.  The tiny point pins 636 times: an
+        audit within 64 events stops the run, except after the last
+        pin, whose leak shows once every session has drained."""
+        from repro.errors import InvariantViolation
+        from repro.serve.refcount import RefCounter
+
+        spec = tiny_point(offered=1.5)
+        incr = RefCounter.incr
+        calls = {"n": 0}
+
+        def counting_incr(self, key):
+            calls["n"] += 1
+            return incr(self, key)
+
+        monkeypatch.setattr(RefCounter, "incr", counting_incr)
+        simulate_traffic(spec)
+        assert calls["n"] == 636
+        calls["n"] = 0
+
+        def leaky_incr(self, key):
+            calls["n"] += 1
+            if calls["n"] == nth:
+                incr(self, key)
+            return incr(self, key)
+
+        monkeypatch.setattr(RefCounter, "incr", leaky_incr)
+        with pytest.raises(InvariantViolation,
+                           match="refcount_conservation"):
+            simulate_traffic(spec, checked=True)
+        assert calls["n"] == 636 if nth == 636 else nth <= calls["n"] < 636
+
+
 class TestLoadBehavior:
     def test_underload_has_no_queueing(self):
         result = simulate_traffic(tiny_point(offered=0.3))
