@@ -476,8 +476,8 @@ def seeded_writes(
     """Deterministic per-reference write flags (drives CoW breaks)."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    rng = random.Random(seed)
-    return [rng.random() < fraction for _ in range(length)]
+    draw = random.Random(seed).random
+    return [draw() < fraction for _ in range(length)]
 
 
 __all__ = [

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -96,15 +97,10 @@ def stream_trace(
     ) as writer:
         exhausted = False
         while not exhausted:
-            chunk = array("q")
-            for page in stream:
-                chunk.append(page)
-                if len(chunk) >= chunk_refs:
-                    break
-            else:
-                exhausted = True
-            if not chunk and exhausted:
+            chunk = array("q", islice(stream, chunk_refs))
+            if not chunk:
                 break
+            exhausted = len(chunk) < chunk_refs
             writes = None
             if flag_rng is not None:
                 writes = array("B", (

@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 from array import array
 from collections.abc import Sequence
+from itertools import chain, islice, repeat
+from operator import index as _index
 from typing import Iterable, Iterator
 
 
@@ -124,15 +126,16 @@ def _resolve_rng(rng: random.Random | None, seed: int) -> random.Random:
 # the historical whole-trace constructor.  The streaming writers in
 # :mod:`repro.trace.generate` consume the same iterators, so a trace
 # written to disk in chunks is bit-identical to the in-memory trace the
-# same parameters produce.
+# same parameters produce.  Every iterator checks its arguments when it
+# is called, not when it is first advanced, so a bad call fails before
+# a writer has opened its output.
 
 
 def iter_sequential(pages: int, sweeps: int = 1) -> Iterator[int]:
     """The reference stream of :func:`sequential_trace`."""
     if pages <= 0 or sweeps <= 0:
         raise ValueError("pages and sweeps must be positive")
-    for _ in range(sweeps):
-        yield from range(pages)
+    return chain.from_iterable(repeat(range(pages), sweeps))
 
 
 def sequential_trace(pages: int, sweeps: int = 1) -> Trace:
@@ -190,7 +193,13 @@ def iter_zipf(
         raise ValueError("pages and length must be positive")
     if skew < 0:
         raise ValueError("skew must be non-negative")
-    generator = _resolve_rng(rng, seed)
+    return _zipf_stream(_resolve_rng(rng, seed), pages, length, skew, chunk)
+
+
+def _zipf_stream(
+    generator: random.Random, pages: int, length: int, skew: float,
+    chunk: int,
+) -> Iterator[int]:
     weights = [1.0 / (rank ** skew) for rank in range(1, pages + 1)]
     population = range(pages)
     remaining = length
@@ -215,6 +224,94 @@ def zipf_trace(
     return Trace(iter_zipf(pages, length, skew=skew, seed=seed, rng=rng))
 
 
+#: References per block of the phased generator: the most that
+#: :func:`iter_phased` draws ahead of what it has yielded.
+_PHASED_BLOCK = 1 << 16
+
+
+def _check_phased(
+    pages: int, length: int, working_set: int, phase_length: int,
+    locality: float,
+) -> None:
+    if pages <= 0 or length <= 0:
+        raise ValueError("pages and length must be positive")
+    if not 0 < working_set <= pages:
+        raise ValueError("working_set must be in 1..pages")
+    if phase_length <= 0:
+        raise ValueError("phase_length must be positive")
+    if not 0.0 <= locality <= 1.0:
+        raise ValueError("locality must be a probability")
+
+
+def _phased_references(
+    generator: random.Random, pages: int, length: int, working_set: int,
+    phase_length: int, locality: float,
+) -> Iterator[int]:
+    """The phased stream one reference at a time, through the public
+    ``sample``, ``random``, ``choice`` and ``randrange`` calls."""
+    current_set = generator.sample(range(pages), working_set)
+    for index in range(length):
+        if index and index % phase_length == 0:
+            current_set = generator.sample(range(pages), working_set)
+        if generator.random() < locality:
+            yield generator.choice(current_set)
+        else:
+            yield generator.randrange(pages)
+
+
+def _phased_blocks(
+    generator: random.Random, pages: int, length: int, working_set: int,
+    phase_length: int, locality: float,
+) -> Iterator[list[int]]:
+    """The phased stream as lists of at most ``_PHASED_BLOCK`` references.
+
+    For a plain :class:`random.Random` this inlines what ``choice`` and
+    ``randrange`` do — ``_randbelow_with_getrandbits``: draw
+    ``n.bit_length()`` bits, again while the draw is ``>= n`` — so it
+    consumes the same Mersenne Twister draws in the same order as
+    :func:`_phased_references`.  Selection is by exact type: a subclass
+    that overrides only ``random()`` gets ``_randbelow_without_getrandbits``
+    from ``Random.__init_subclass__``, so any other type runs the public
+    calls, cut into the same blocks.
+    """
+    if type(generator) is not random.Random:
+        stream = _phased_references(
+            generator, pages, length, working_set, phase_length, locality,
+        )
+        while block := list(islice(stream, _PHASED_BLOCK)):
+            yield block
+        return
+    uniform = generator.random
+    getrandbits = generator.getrandbits
+    span = _index(pages)                 # what randrange(pages) draws below
+    span_bits = span.bit_length()
+    index = phase_end = 0
+    while index < length:
+        block: list[int] = []
+        append = block.append
+        stop = min(length, index + _PHASED_BLOCK)
+        while index < stop:
+            if index == phase_end:
+                current_set = generator.sample(range(pages), working_set)
+                size = len(current_set)  # what choice(current_set) draws below
+                size_bits = size.bit_length()
+                phase_end = index + phase_length
+            run_end = min(stop, phase_end)
+            for _ in repeat(None, run_end - index):
+                if uniform() < locality:
+                    r = getrandbits(size_bits)
+                    while r >= size:
+                        r = getrandbits(size_bits)
+                    append(current_set[r])
+                else:
+                    r = getrandbits(span_bits)
+                    while r >= span:
+                        r = getrandbits(span_bits)
+                    append(r)
+            index = run_end
+        yield block
+
+
 def iter_phased(
     pages: int,
     length: int,
@@ -224,24 +321,18 @@ def iter_phased(
     seed: int = 0,
     rng: random.Random | None = None,
 ) -> Iterator[int]:
-    """The reference stream of :func:`phased_trace`."""
-    if pages <= 0 or length <= 0:
-        raise ValueError("pages and length must be positive")
-    if not 0 < working_set <= pages:
-        raise ValueError("working_set must be in 1..pages")
-    if phase_length <= 0:
-        raise ValueError("phase_length must be positive")
-    if not 0.0 <= locality <= 1.0:
-        raise ValueError("locality must be a probability")
-    generator = _resolve_rng(rng, seed)
-    current_set = generator.sample(range(pages), working_set)
-    for index in range(length):
-        if index and index % phase_length == 0:
-            current_set = generator.sample(range(pages), working_set)
-        if generator.random() < locality:
-            yield generator.choice(current_set)
-        else:
-            yield generator.randrange(pages)
+    """The reference stream of :func:`phased_trace`.
+
+    The stream is generated in blocks of up to 65,536 references, so the
+    iterator draws up to one block ahead of what it has yielded.  A
+    caller-owned ``rng`` must not be used elsewhere until the iterator
+    is exhausted; it then ends in the state :func:`phased_trace` leaves.
+    """
+    _check_phased(pages, length, working_set, phase_length, locality)
+    return chain.from_iterable(_phased_blocks(
+        _resolve_rng(rng, seed), pages, length, working_set, phase_length,
+        locality,
+    ))
 
 
 def phased_trace(
@@ -263,12 +354,13 @@ def phased_trace(
     well-defined: give a program ≥ ``working_set`` frames and faults are
     rare; give it fewer and Figure 3's waiting dominates.
     """
-    return Trace(iter_phased(
-        pages,
-        length,
-        working_set=working_set,
-        phase_length=phase_length,
-        locality=locality,
-        seed=seed,
-        rng=rng,
-    ))
+    _check_phased(pages, length, working_set, phase_length, locality)
+    data = array("q")
+    for block in _phased_blocks(
+        _resolve_rng(rng, seed), pages, length, working_set, phase_length,
+        locality,
+    ):
+        data.fromlist(block)
+    trace = Trace.__new__(Trace)
+    trace._data = data
+    return trace

@@ -34,6 +34,14 @@ KINDS = {
     ),
 }
 
+BAD_PARAMS = {
+    "sequential": dict(pages=0),
+    "cyclic": dict(pages=0, length=10),
+    "random": dict(pages=0, length=10),
+    "zipf": dict(pages=10, length=10, skew=-1),
+    "phased": dict(pages=0, length=10),
+}
+
 
 class TestStreamingBitIdentity:
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -120,6 +128,16 @@ class TestStreamingBitIdentity:
         assert not path.exists()
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kind", sorted(BAD_PARAMS))
+    def test_bad_generator_params_keep_an_existing_file(self, tmp_path, kind):
+        """Every generator checks its arguments when it is called, so a
+        bad call fails before the writer truncates the output path."""
+        path = tmp_path / "keep.rtrc"
+        path.write_bytes(b"an earlier trace")
+        with pytest.raises(ValueError):
+            stream_trace(path, kind, **BAD_PARAMS[kind])
+        assert path.read_bytes() == b"an earlier trace"
+
 
 class TestTraceGenCli:
     def test_generates_readable_file(self, tmp_path, capsys):
@@ -161,3 +179,13 @@ class TestTraceGenCli:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_params_keep_an_existing_output(self, tmp_path, capsys):
+        out = tmp_path / "keep.rtrc"
+        out.write_bytes(b"an earlier trace")
+        code = trace_gen_main([
+            "phased", "--output", str(out), "--pages", "0",
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier trace"
