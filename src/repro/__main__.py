@@ -16,10 +16,10 @@
                              divergence point and per-kind deltas;
                              exits 1 when the traces differ.
 ``python -m repro check``    runs the differential oracle: fast kernels
-                             vs. reference loops, indexed vs. linear
-                             free lists, checked-mode invariants and
-                             fault-injection recovery; exits 1 on any
-                             violation (see :mod:`repro.check`).
+                             vs. reference loops, free-list churn and
+                             checked-mode invariants, fault-injection
+                             recovery; exits 1 on any violation (see
+                             :mod:`repro.check`).
 ``python -m repro sweep``    runs a deterministic machine × policy
                              sweep over a pluggable worker transport
                              (inline, process pool, subprocess/SSH

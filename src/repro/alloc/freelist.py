@@ -15,19 +15,10 @@ Strategies" section over one free list:
 Frees coalesce with both neighbours immediately, so the free list always
 holds maximal holes.
 
-Two storage backends are available:
-
-- **linear** (default, the "accounting mode"): an address-sorted list
-  scanned per request.  ``search_steps`` counts holes examined exactly
-  as the paper's bookkeeping-cost discussion assumes — best fit examines
-  every hole — which is what the CL-PLACE experiments measure.
-- **indexed** (``indexed=True``): a :class:`repro.fastpath.holes.HoleIndex`
-  — power-of-two size-class bins plus an end-address map for O(1)
-  coalescing — making ``best_fit`` sublinear per request.  Allocation
-  *addresses* are bit-identical to the linear mode (verified by the
-  differential property tests); only ``search_steps`` differs, counting
-  the holes the index actually examines.  ``next_fit`` is inherently a
-  positional scan and requires the linear backend.
+The free list is an address-sorted list scanned per request.
+``search_steps`` counts holes examined exactly as the paper's
+bookkeeping-cost discussion assumes — best fit examines every hole —
+which is what the CL-PLACE experiments measure.
 """
 
 from __future__ import annotations
@@ -49,10 +40,6 @@ class FreeListAllocator:
         Words of storage managed (addresses 0 .. capacity-1).
     policy:
         One of ``first_fit``, ``best_fit``, ``worst_fit``, ``next_fit``.
-    indexed:
-        Use the size-segregated hole index instead of the linear list.
-        Same addresses, sublinear searches, fast-path ``search_steps``
-        accounting.  Not available for ``next_fit``.
     tracer:
         Optional :class:`~repro.observe.tracer.Tracer` receiving a
         ``Place`` event per successful allocation and a ``Free`` per
@@ -69,41 +56,25 @@ class FreeListAllocator:
         self,
         capacity: int,
         policy: str = "first_fit",
-        indexed: bool = False,
+        *,
         tracer: Tracer | None = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if policy not in _POLICIES:
             raise ValueError(f"unknown placement policy {policy!r}; choose from {_POLICIES}")
-        if indexed and policy == "next_fit":
-            raise ValueError(
-                "next_fit's rover walks the linear free list; "
-                "use indexed=False for next_fit"
-            )
         self.capacity = capacity
         self.policy = policy
-        self.indexed = indexed
         self.tracer = as_tracer(tracer)
         self._live: dict[int, Allocation] = {}
         self._rover = 0  # index into _holes for next_fit
         self._next_block_id = 0
         self.counters = AllocatorCounters()
-        if indexed:
-            from repro.fastpath.holes import HoleIndex
-
-            self._index = HoleIndex()
-            self._index.insert(0, capacity)
-            self._holes: list[tuple[int, int]] = []
-        else:
-            self._index = None
-            self._holes = [(0, capacity)]  # sorted by address
+        self._holes = [(0, capacity)]  # sorted by address
 
     # -- inspection ------------------------------------------------------
 
     def holes(self) -> list[tuple[int, int]]:
-        if self._index is not None:
-            return self._index.holes_sorted()
         return list(self._holes)
 
     def allocations(self) -> list[Allocation]:
@@ -111,8 +82,6 @@ class FreeListAllocator:
 
     @property
     def free_words(self) -> int:
-        if self._index is not None:
-            return self._index.free_words
         return sum(size for _, size in self._holes)
 
     @property
@@ -121,8 +90,6 @@ class FreeListAllocator:
 
     @property
     def largest_hole(self) -> int:
-        if self._index is not None:
-            return self._index.largest_hole
         return max((size for _, size in self._holes), default=0)
 
     # -- placement -------------------------------------------------------
@@ -162,38 +129,10 @@ class FreeListAllocator:
                 chosen, chosen_size = index, hole_size
         return chosen
 
-    def _allocate_indexed(self, size: int) -> Allocation | None:
-        """Place via the hole index; returns None when nothing fits."""
-        if self.policy == "first_fit":
-            found = self._index.find_first(size)
-        elif self.policy == "best_fit":
-            found = self._index.find_best(size)
-        else:  # worst_fit
-            found = self._index.find_worst(size)
-        if found is None:
-            return None
-        address, _, examined = found
-        self.counters.search_steps += examined
-        self._index.take(address, size)
-        return Allocation(address, size)
-
     def allocate(self, size: int) -> Allocation:
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
         self.counters.record_request(size)
-        if self._index is not None:
-            allocation = self._allocate_indexed(size)
-            if allocation is None:
-                self.counters.record_failure(size)
-                raise OutOfMemory(
-                    size,
-                    f"largest hole {self.largest_hole} of {self.free_words} "
-                    f"free words ({self.policy})",
-                )
-            self._live[allocation.address] = allocation
-            if self.tracer.enabled:
-                self._emit_place(allocation)
-            return allocation
         index = self._choose_hole(size)
         if index is None:
             self.counters.record_failure(size)
@@ -238,10 +177,7 @@ class FreeListAllocator:
         check_free_known(allocation, self._live, "FreeListAllocator")
         del self._live[allocation.address]
         self.counters.record_free(allocation.size)
-        if self._index is not None:
-            self._index.insert(allocation.address, allocation.size)
-        else:
-            self._insert_hole(allocation.address, allocation.size)
+        self._insert_hole(allocation.address, allocation.size)
         # Emit only once the hole is back on the free list: sinks may
         # inspect the allocator (the invariant sink does), and mid-free
         # the words are accounted nowhere.
@@ -311,17 +247,11 @@ class FreeListAllocator:
         """Replace the allocator's state wholesale (post-compaction).
 
         ``holes`` must be maximal, non-overlapping, address-ascending.
-        Works identically for both backends; the next-fit rover restarts
-        at the list head.
+        The next-fit rover restarts at the list head.
         """
         self._live = live
         self._rover = 0
-        if self._index is not None:
-            self._index.clear()
-            for address, size in holes:
-                self._index.insert(address, size)
-        else:
-            self._holes = list(holes)
+        self._holes = list(holes)
 
     # -- integrity (used by property tests) ------------------------------
 
@@ -345,12 +275,9 @@ class FreeListAllocator:
         assert (
             self.free_words + sum(a.size for a in self._live.values()) == self.capacity
         ), "words lost or duplicated"
-        if self._index is not None:
-            self._index.check_invariants()
 
     def __repr__(self) -> str:
         return (
             f"FreeListAllocator(capacity={self.capacity}, policy={self.policy!r}, "
-            f"used={self.used_words}, holes={len(self.holes())}"
-            f"{', indexed' if self.indexed else ''})"
+            f"used={self.used_words}, holes={len(self.holes())})"
         )

@@ -64,9 +64,8 @@ def fragmentation_stats(allocator: _Inspectable) -> FragmentationStats:
     """Measure an allocator's current fragmentation.
 
     Works on anything exposing ``capacity`` plus ``holes()`` /
-    ``allocations()`` — every allocator in :mod:`repro.alloc`, in both
-    linear and indexed free-list modes, and the frame-level view of a
-    pager.  The result is a frozen snapshot; call again after further
+    ``allocations()`` — every allocator in :mod:`repro.alloc` and the
+    frame-level view of a pager.  The result is a frozen snapshot; call again after further
     requests to sample a series.
     """
     holes = allocator.holes()

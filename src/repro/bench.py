@@ -1,11 +1,10 @@
 """The performance benchmark trajectory (``python -m repro.bench``).
 
-Times the reproduction's two hottest loops — trace-driven replacement
-replay and free-list allocator churn — in both their reference and
-:mod:`repro.fastpath` forms, verifies the fast paths are result-identical
-in the same run, and writes a machine-readable ``BENCH_perf.json`` so
-successive PRs can track throughput like the experiments track fault
-rates.
+Times the reproduction's hottest loop — trace-driven replacement
+replay — in both its reference and :mod:`repro.fastpath` forms, verifies
+the fast paths are result-identical in the same run, and writes a
+machine-readable ``BENCH_perf.json`` so successive PRs can track
+throughput like the experiments track fault rates.
 
 ``BENCH_perf.json`` keeps latest-run semantics (one report, overwritten
 each run); the *trajectory* lives in ``BENCH_history.jsonl``, which gets
@@ -25,12 +24,9 @@ Run it as::
     python benchmarks/perf_suite.py   # same, from a source checkout
 
 Metrics reported per replacement policy: references replayed per second
-(reference vs. batched kernel) and the speedup; per placement policy:
-allocate/free operations per second (linear vs. indexed free list) and
-the speedup.  Every timed pair is cross-checked — identical fault counts
-and victim sequences for replay, identical address sequences and failure
-counts for allocation — so a speedup can never be bought with a wrong
-answer.
+(reference vs. batched kernel) and the speedup.  Every timed pair is
+cross-checked — identical fault counts and victim sequences — so a
+speedup can never be bought with a wrong answer.
 """
 
 from __future__ import annotations
@@ -44,25 +40,18 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from repro.alloc.freelist import FreeListAllocator
-from repro.errors import OutOfMemory
 from repro.observe.sinks import read_jsonl_records
 from repro.paging.replacement import make_policy
 from repro.paging.replacement.belady import BeladyOptimalPolicy
 from repro.paging.simulate import SimulationResult, simulate_trace
 from repro.workload.reference import Trace, phased_trace
-from repro.workload.requests import exponential_requests, request_schedule
 
 REPLAY_POLICIES = ("lru", "fifo", "clock", "opt")
-ALLOC_POLICIES = ("best_fit", "first_fit", "worst_fit")
 
-#: The two size classes every run belongs to.  Shared vocabulary: the
-#: sweep engine's quick grids derive their workload sizes from these, so
-#: "quick" means the same order of work in both tools.
+#: The two size classes every run belongs to.
 SIZE_CLASSES: dict[str, dict[str, dict]] = {
     "quick": {
         "replay": dict(length=60_000, frames=24, pages=256),
-        "alloc": dict(count=2_000, capacity=80_000, mean_lifetime=400),
         "columnar": dict(
             length=200_000, frames=128, pages=512,
             working_set=24, phase_length=5_000, locality=0.995,
@@ -72,7 +61,6 @@ SIZE_CLASSES: dict[str, dict[str, dict]] = {
     },
     "full": {
         "replay": dict(length=1_000_000, frames=32, pages=512),
-        "alloc": dict(count=12_000, capacity=200_000, mean_lifetime=2_000),
         # The columnar section's trace is long and locality-rich: chunked
         # hit-span skipping is what the vectorized kernels monetize, and
         # a ~0.05% fault rate is representative of a well-provisioned
@@ -546,82 +534,10 @@ def bench_telemetry(
     }
 
 
-# -- allocator churn ------------------------------------------------------
-
-
-def _drive_allocator(
-    allocator: FreeListAllocator, requests
-) -> tuple[int, int, list[int]]:
-    """(ops, failures, address sequence) of one full request schedule."""
-    live: dict[int, object] = {}
-    ops = failures = 0
-    addresses: list[int] = []
-    for _, action, request in request_schedule(requests):
-        if action == "allocate":
-            ops += 1
-            try:
-                allocation = allocator.allocate(request.size)
-            except OutOfMemory:
-                failures += 1
-                addresses.append(-1)
-            else:
-                live[id(request)] = allocation
-                addresses.append(allocation.address)
-        elif id(request) in live:
-            ops += 1
-            allocator.free(live.pop(id(request)))
-    return ops, failures, addresses
-
-
-def bench_alloc(count: int, capacity: int, mean_lifetime: int) -> dict:
-    """Linear vs. indexed free list over one churning request stream."""
-    requests = exponential_requests(
-        count,
-        mean_size=60,
-        mean_lifetime=mean_lifetime,
-        max_size=2_000,
-        seed=1967,
-    )
-    policies: dict[str, dict] = {}
-    for name in ALLOC_POLICIES:
-        (linear_run, linear_s) = _timed(
-            lambda: _drive_allocator(
-                FreeListAllocator(capacity, policy=name), requests
-            )
-        )
-        (indexed_run, indexed_s) = _timed(
-            lambda: _drive_allocator(
-                FreeListAllocator(capacity, policy=name, indexed=True), requests
-            )
-        )
-        ops, failures, linear_addresses = linear_run
-        _, indexed_failures, indexed_addresses = indexed_run
-        if linear_addresses != indexed_addresses or failures != indexed_failures:
-            raise AssertionError(
-                f"indexed allocator diverged from linear for {name}"
-            )
-        policies[name] = {
-            "failures": failures,
-            "linear_s": round(linear_s, 4),
-            "indexed_s": round(indexed_s, 4),
-            "speedup": round(linear_s / indexed_s, 2) if indexed_s else None,
-            "linear_ops_per_s": _throughput(ops, linear_s),
-            "indexed_ops_per_s": _throughput(ops, indexed_s),
-            "ops": ops,
-        }
-    return {
-        "requests": count,
-        "capacity": capacity,
-        "mean_lifetime": mean_lifetime,
-        "policies": policies,
-    }
-
-
 # -- the regression trajectory --------------------------------------------
 
 #: Throughput metrics compared by ``--compare`` — higher is better.
 THROUGHPUT_KEYS = ("reference_refs_per_s", "fast_refs_per_s")
-ALLOC_THROUGHPUT_KEYS = ("linear_ops_per_s", "indexed_ops_per_s")
 COLUMNAR_THROUGHPUT_KEYS = (
     "list_refs_per_s", "columnar_refs_per_s", "columnar_numpy_refs_per_s",
 )
@@ -654,9 +570,6 @@ def history_record(report: dict, rev: str | None = None) -> dict:
     for name, row in report["replay"]["policies"].items():
         for key in THROUGHPUT_KEYS:
             metrics[f"replay.{name}.{key}"] = row.get(key)
-    for name, row in report["alloc"]["policies"].items():
-        for key in ALLOC_THROUGHPUT_KEYS:
-            metrics[f"alloc.{name}.{key}"] = row.get(key)
     for name, row in report.get("columnar", {}).get("policies", {}).items():
         for key in COLUMNAR_THROUGHPUT_KEYS:
             metrics[f"columnar.{name}.{key}"] = row.get(key)
@@ -755,7 +668,6 @@ def compare_records(
 def run_suite(quick: bool = False, trace_file: Path | None = None) -> dict:
     sizes = SIZE_CLASSES["quick" if quick else "full"]
     replay = bench_replay(**sizes["replay"])
-    alloc = bench_alloc(**sizes["alloc"])
     columnar = bench_columnar(**sizes["columnar"], trace_file=trace_file)
     serve = bench_serve(**sizes["serve"])
     traffic = bench_traffic(**sizes["traffic"])
@@ -769,7 +681,6 @@ def run_suite(quick: bool = False, trace_file: Path | None = None) -> dict:
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "quick": quick,
         "replay": replay,
-        "alloc": alloc,
         "columnar": columnar,
         "serve": serve,
         "traffic": traffic,
@@ -858,19 +769,6 @@ def _print_report(report: dict, stream=sys.stdout) -> None:
             f"on {_fmt(telemetry['on_refs_per_s'], 12)}/s   "
             f"overhead "
             f"{f'{overhead:+.2%}' if overhead is not None else 'n/a':>8}",
-            file=stream,
-        )
-    alloc = report["alloc"]
-    print(
-        f"allocator churn — {alloc['requests']:,} requests, "
-        f"capacity {alloc['capacity']:,} words",
-        file=stream,
-    )
-    for name, row in alloc["policies"].items():
-        print(
-            f"  {name:<10} linear {_fmt(row['linear_ops_per_s'], 10)} ops/s   "
-            f"indexed {_fmt(row['indexed_ops_per_s'], 10)} ops/s   "
-            f"speedup {row['speedup'] if row['speedup'] is not None else 'n/a':>6}x",
             file=stream,
         )
 

@@ -14,8 +14,8 @@ package makes the simulated counterparts *executable*:
   (transient backing-store failures, failing storage-to-storage moves,
   torn trace lines) plus a retry policy proving graceful degradation.
 - :mod:`repro.check.oracle` — a differential oracle cross-checking the
-  fast kernels against the reference loops and the indexed free list
-  against the linear scan, exposed as ``python -m repro check``.
+  fast kernels against the reference loops and running the invariant
+  suite over free-list churn, exposed as ``python -m repro check``.
 """
 
 from repro.check.faults import (

@@ -1,10 +1,10 @@
 """``python -m repro check`` — run the differential oracle and exit 0/1.
 
 The executable form of the paper's correctness hardware: replays the
-cross-policy / cross-backend equivalence sweeps, a checked-mode traced
-run, and the fault-injection recovery proof, printing one table per
-domain and exiting nonzero on *any* divergence or invariant violation —
-suitable as a CI gate.
+fast-kernel equivalence sweep, the invariant-checked placement churn, a
+checked-mode traced run, and the fault-injection recovery proof,
+printing one table per domain and exiting nonzero on *any* divergence
+or invariant violation — suitable as a CI gate.  Usage errors exit 2.
 
 Examples::
 
@@ -34,9 +34,10 @@ def _inject_violation(report: OracleReport, seed: int) -> None:
     allocator block (word-conservation *and* overlap violation), and a
     phantom reference on a shared frame pool (refcount-conservation
     violation — the pool counts a reference no tenant view holds).  The
-    resulting findings drive the exit status to 1, which is what the CI
-    smoke jobs assert; if the engine ever goes blind to either, the
-    finding disappears and the expected-failure leg catches it.
+    findings are flagged only when the engine catches both, driving the
+    exit status to 1, which is what the CI smoke jobs assert; if it ever
+    goes blind to either, neither is flagged and the expected-failure
+    leg catches the clean run.
     """
     from repro.alloc import FreeListAllocator
     from repro.serve import SharedFramePool, TenantView
@@ -56,21 +57,24 @@ def _inject_violation(report: OracleReport, seed: int) -> None:
     pool._refs.incr(("shared", 0))
 
     suite = InvariantSuite()
-    detected = 0
-    for subject in (allocator, pool):
+    plants = (allocator, pool)
+    caught = []
+    for subject in plants:
         report.record("injected")
         try:
             suite.check(subject)
         except InvariantViolation as violation:
-            report.flag("injected", seed, f"(deliberate) {violation}")
-            detected += 1
-    if detected < 2:
+            caught.append(violation)
+    if len(caught) < len(plants):
         # The engine failed to notice a planted corruption: report *that*
         # loudly, but as a clean run — the caller asserting exit 1 fails.
         print(
             "warning: an injected corruption was NOT detected by the "
             "invariant engine", file=sys.stderr,
         )
+        return
+    for violation in caught:
+        report.flag("injected", seed, f"(deliberate) {violation}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,9 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     from repro.metrics.report import kv_table
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.seeds is not None and args.seeds <= 0:
-        raise SystemExit("--seeds must be positive")
+        parser.error("--seeds must be positive")
+    if args.max_findings < 0:
+        parser.error("--max-findings must be non-negative")
 
     seeds = range(args.seeds) if args.seeds is not None else None
     report = run_oracle(seeds=seeds, quick=args.quick, domains=args.domains)

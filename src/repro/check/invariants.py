@@ -332,7 +332,7 @@ class RefCountConservation(Invariant):
 
 class SelfCheck(Invariant):
     """Fold in a subject's own ``check_invariants`` method (buddy
-    allocator, hole index, ...), normalizing its AssertionErrors."""
+    allocator, free list, ...), normalizing its AssertionErrors."""
 
     name = "self_check"
 

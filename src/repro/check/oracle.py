@@ -11,10 +11,9 @@ Four domains:
 - **replacement** — the batched fastpath kernels vs. the per-access
   reference loop, bit-identical (faults, cold faults, evictions, fault
   positions, victim sequences).
-- **placement** — the indexed free list vs. the linear scan, identical
-  addresses and identical failures, with the invariant suite run over
-  both after every operation (including OutOfMemory and
-  post-compaction states).
+- **placement** — the free list under seeded allocate/free churn, with
+  the invariant suite run after every operation (including OutOfMemory
+  and post-compaction states).
 - **checked replay** — a fully traced demand-paging run with an
   :class:`~repro.check.invariants.InvariantSink` attached: zero
   violations expected.
@@ -71,7 +70,6 @@ class OracleReport:
 
 REPLACEMENT_POLICIES = ("lru", "fifo", "clock", "opt")
 PLACEMENT_POLICIES = ("first_fit", "best_fit", "worst_fit", "next_fit")
-INDEXABLE_POLICIES = ("first_fit", "best_fit", "worst_fit")
 
 
 def _oracle_trace(seed: int):
@@ -135,58 +133,44 @@ def replacement_oracle(
     return report
 
 
-def _drive_allocators(allocators, requests, suite, report, seed, domain):
-    """Replay one request schedule through paired allocators.
+def _drive_allocator(allocator, requests, suite, report, seed) -> bool:
+    """Replay one request schedule, checking invariants after each step.
 
-    Returns per-allocator outcome strings so the caller can compare
-    cross-backend behaviour step by step.
+    Returns False once a violation has been flagged.
     """
     from repro.workload import request_schedule
 
-    live = [dict() for _ in allocators]
+    live = {}
     for time, action, request in request_schedule(requests):
-        outcomes = []
-        for position, allocator in enumerate(allocators):
-            if action == "allocate":
-                try:
-                    allocation = allocator.allocate(request.size)
-                    live[position][id(request)] = allocation
-                    outcomes.append(f"at {allocation.address}")
-                except OutOfMemory:
-                    outcomes.append("OutOfMemory")
-            else:
-                allocation = live[position].pop(id(request), None)
-                if allocation is not None:
-                    allocator.free(allocation)
-                outcomes.append("freed")
+        if action == "allocate":
             try:
-                suite.check(allocator)
-            except InvariantViolation as violation:
-                report.flag(
-                    domain, seed,
-                    f"t={time} {action} {request.name}: {violation}",
-                )
-                return None
-        report.record(domain)
-        if len(set(outcomes)) > 1:
+                live[id(request)] = allocator.allocate(request.size)
+            except OutOfMemory:
+                pass
+        else:
+            allocation = live.pop(id(request), None)
+            if allocation is not None:
+                allocator.free(allocation)
+        try:
+            suite.check(allocator)
+        except InvariantViolation as violation:
             report.flag(
-                domain, seed,
-                f"t={time} {action} size={request.size}: backends diverged "
-                f"({', '.join(outcomes)})",
+                "placement", seed,
+                f"t={time} {action} {request.name}: {violation}",
             )
-            return None
-    return live
+            return False
+        report.record("placement")
+    return True
 
 
 def placement_oracle(
     seeds: Iterable[int],
     policies: Sequence[str] = PLACEMENT_POLICIES,
 ) -> OracleReport:
-    """Linear vs. indexed free lists, addresses and failures identical.
+    """One free list per policy, invariants checked after every step.
 
-    ``next_fit`` has no indexed backend; it runs linear-only, still
-    under the full invariant suite (rover staleness shows up here as a
-    divergence from the expected hole discipline).
+    The suite runs again after compaction, whose wholesale rebuild of
+    the hole list must leave the same invariants holding.
     """
     from repro.alloc import FreeListAllocator
     from repro.alloc.compaction import compact
@@ -204,26 +188,13 @@ def placement_oracle(
         )
         suite = InvariantSuite()
         for policy in policies:
-            if policy in INDEXABLE_POLICIES:
-                allocators = [
-                    FreeListAllocator(capacity, policy=policy, indexed=False),
-                    FreeListAllocator(capacity, policy=policy, indexed=True),
-                ]
-            else:
-                allocators = [FreeListAllocator(capacity, policy=policy)]
-            live = _drive_allocators(
-                allocators, requests, suite, report, seed,
-                domain="placement",
-            )
-            if live is None:
+            allocator = FreeListAllocator(capacity, policy=policy)
+            if not _drive_allocator(allocator, requests, suite, report, seed):
                 continue
-            # Post-compaction state must satisfy the suite too (the
-            # linear backend only — compaction rebuilds either, but one
-            # pass suffices per seed/policy).
-            compact(allocators[0])
+            compact(allocator)
             report.record("placement")
             try:
-                suite.check(allocators[0])
+                suite.check(allocator)
             except InvariantViolation as violation:
                 report.flag(
                     "placement", seed,

@@ -1,15 +1,12 @@
 """Performance layer: batched kernels bit-identical to the reference paths.
 
-The reproduction's quantitative experiments are driven by two hot loops:
+The reproduction's quantitative experiments are driven by per-reference
+replacement simulation (:mod:`repro.paging.simulate`), which dispatches
+every page reference through the
+:class:`~repro.paging.replacement.base.ReplacementPolicy` observer
+interface and a :class:`~repro.paging.frame.FrameTable`.
 
-- per-reference replacement simulation (:mod:`repro.paging.simulate`),
-  which dispatches every page reference through the
-  :class:`~repro.paging.replacement.base.ReplacementPolicy` observer
-  interface and a :class:`~repro.paging.frame.FrameTable`; and
-- per-request hole search (:mod:`repro.alloc.freelist`), which scans a
-  linear free list on every allocation.
-
-This package provides drop-in fast paths for both:
+This package provides drop-in fast paths for that loop:
 
 - :mod:`repro.fastpath.replay` — whole-trace replay kernels for the
   FIFO, LRU, CLOCK and Belady-OPT policies that consume the trace in one
@@ -24,19 +21,11 @@ This package provides drop-in fast paths for both:
   list kernels (or the reference loop) when it declines — numpy
   missing, unsupported trace shape, or an eviction-dominated workload
   where chunk skipping cannot pay.
-- :mod:`repro.fastpath.holes` — :class:`HoleIndex`, a size-segregated
-  power-of-two bin index with O(1) coalescing (an end-address map) that
-  makes ``best_fit`` placement sublinear.  ``FreeListAllocator(...,
-  indexed=True)`` runs on it.
 
 The contract (tested by ``tests/test_fastpath_equivalence.py``): every
-fast path produces **bit-identical observable results** to its reference
-implementation — the same fault counts, fault positions, eviction
-sequences, and allocation addresses — differing only in wall-clock time
-and in `search_steps` accounting (the indexed allocator counts the holes
-it actually examines, which is the point).  When exact reference
-accounting is needed (the CL-PLACE bookkeeping-cost experiments), use the
-default linear mode.
+fast path produces **bit-identical observable results** to the reference
+loop — the same fault counts, fault positions and eviction sequences —
+differing only in wall-clock time.
 
 Observability rides the same contract: when ``simulate_trace`` is given
 a :class:`~repro.observe.counters.Counters` registry, a batched kernel
@@ -50,7 +39,6 @@ call.
 """
 
 from repro.fastpath.columnar import run_columnar
-from repro.fastpath.holes import HoleIndex
 from repro.fastpath.replay import (
     FAST_KERNELS,
     replay_clock,
@@ -62,7 +50,6 @@ from repro.fastpath.replay import (
 
 __all__ = [
     "FAST_KERNELS",
-    "HoleIndex",
     "replay_clock",
     "replay_fifo",
     "replay_lru",

@@ -264,14 +264,7 @@ class SweepGrid:
 
 
 def quick_grid() -> SweepGrid:
-    """The CI smoke grid: 16 shards, seconds of work.
-
-    Sizing derives from the bench suite's quick size class so "quick"
-    means the same order of work in both tools.
-    """
-    from repro.bench import SIZE_CLASSES
-
-    sizes = SIZE_CLASSES["quick"]
+    """The CI smoke grid: 16 shards, seconds of work."""
     return SweepGrid(
         name="quick",
         machines=("baseline", "atlas"),
@@ -280,10 +273,10 @@ def quick_grid() -> SweepGrid:
         frames=(8, 16),
         capacities=(20_000,),
         seeds=(0, 1),
-        length=max(1, sizes["replay"]["length"] // 20),
-        pages=sizes["replay"]["pages"] // 4,
-        requests=max(1, sizes["alloc"]["count"] // 4),
-        mean_lifetime=sizes["alloc"]["mean_lifetime"],
+        length=3_000,
+        pages=64,
+        requests=500,
+        mean_lifetime=400,
         program_length=800,
     )
 

@@ -45,6 +45,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             FreeListAllocator(100, policy="magic_fit")
 
+    def test_tracer_is_keyword_only(self):
+        """A stray third positional argument fails at construction, not
+        as a non-tracer at the first allocate."""
+        with pytest.raises(TypeError):
+            FreeListAllocator(100, "best_fit", True)
+
 
 class TestFree:
     def test_free_returns_space(self):

@@ -25,17 +25,6 @@ def canned_report(scale=1.0, quick=True):
                 },
             },
         },
-        "alloc": {
-            "requests": 2_000, "capacity": 80_000, "mean_lifetime": 400,
-            "policies": {
-                "best_fit": {
-                    "failures": 0, "linear_s": 0.5, "indexed_s": 0.05,
-                    "speedup": 10.0, "ops": 4_000,
-                    "linear_ops_per_s": int(8_000 * scale),
-                    "indexed_ops_per_s": int(80_000 * scale),
-                },
-            },
-        },
     }
 
 
@@ -49,8 +38,6 @@ class TestHistoryRecord:
         assert record["metrics"] == {
             "replay.lru.reference_refs_per_s": 60_000,
             "replay.lru.fast_refs_per_s": 600_000,
-            "alloc.best_fit.linear_ops_per_s": 8_000,
-            "alloc.best_fit.indexed_ops_per_s": 80_000,
         }
 
     def test_append_and_read_round_trip(self, tmp_path):
@@ -88,7 +75,7 @@ class TestCompareRecords:
         baseline = bench.history_record(canned_report())
         current = bench.history_record(canned_report(scale=0.8))
         regressions = bench.compare_records(current, baseline, threshold=0.15)
-        assert len(regressions) == 4
+        assert len(regressions) == 2
         assert all(row["change"] == -0.2 for row in regressions)
         assert regressions[0]["baseline"] > regressions[0]["current"]
 
@@ -111,7 +98,7 @@ class TestCompareRecords:
             for row in bench.compare_records(current, baseline)
         }
         assert "replay.lru.fast_refs_per_s" not in flagged
-        assert len(flagged) == 3
+        assert len(flagged) == 1
 
 
 class TestCliRegressionGate:

@@ -1,12 +1,17 @@
 """Seeded fuzzing of allocator state through the invariant engine.
 
 Satellite of the checked-mode work: random allocate/free/compact
-sequences across every placement policy and both free-list backends,
-with ``check_invariants()`` run after every operation and an
-:class:`~repro.check.InvariantSink` riding the allocator's tracer.
+sequences across every placement policy, with ``check_invariants()``
+run after every operation and an :class:`~repro.check.InvariantSink`
+riding the allocator's tracer.
 OutOfMemory rejections and post-compaction states are part of the walk —
 exactly the regimes where the rover bug and the non-transactional
 compact used to corrupt state silently.
+
+A *modelled* walk also mirrors every step on the brute-force model in
+``tests/alloc_reference.py``: each placement, each rejection and the
+holes after each step, compactions included, must match it.  The model
+has no next-fit rover, so next-fit walks are never modelled.
 """
 
 import random
@@ -18,42 +23,49 @@ from repro.alloc.compaction import compact
 from repro.check import InvariantSink, InvariantSuite, check_invariants
 from repro.errors import OutOfMemory
 from repro.observe.tracer import Tracer
+from tests.alloc_reference import RULES, ReferenceFreeList
 
 POLICIES = ("first_fit", "best_fit", "worst_fit", "next_fit")
-BACKENDS = (False, True)  # linear, indexed
 SEEDS = (0, 1, 2)
 
 CASES = [
-    (policy, indexed, seed)
+    (policy, modelled, seed)
     for policy in POLICIES
-    for indexed in BACKENDS
+    for modelled in (False, True)
     for seed in SEEDS
-    if not (indexed and policy == "next_fit")   # rover needs the linear list
+    if policy in RULES or not modelled
 ]
 
 
-def fuzz_walk(policy, indexed, seed, steps=300):
+def fuzz_walk(policy, modelled, seed, steps=300):
     """One random walk; returns (allocator, ops-performed counters)."""
-    rng = random.Random(f"fuzz:{policy}:{indexed}:{seed}")
+    rng = random.Random(f"fuzz:{policy}:{modelled}:{seed}")
     suite = InvariantSuite()
     sink = InvariantSink([], suite=suite, every=8)
-    allocator = FreeListAllocator(
-        2048, policy=policy, indexed=indexed, tracer=Tracer([sink])
-    )
+    allocator = FreeListAllocator(2048, policy=policy, tracer=Tracer([sink]))
     sink.subjects.append(allocator)
+    model = ReferenceFreeList(2048, policy) if modelled else None
     live = []
     performed = {"allocate": 0, "free": 0, "compact": 0, "oom": 0}
-    for _ in range(steps):
+    for step in range(steps):
         roll = rng.random()
         if roll < 0.55:
             size = rng.choice((1, 3, 16, 64, 200, 700))
+            expected = model.allocate(size) if model else None
             try:
-                live.append(allocator.allocate(size))
-                performed["allocate"] += 1
+                block = allocator.allocate(size)
             except OutOfMemory:
                 performed["oom"] += 1
+                assert expected is None, f"step {step}: model placed {size}"
+            else:
+                live.append(block)
+                performed["allocate"] += 1
+                assert model is None or block.address == expected, f"step {step}"
         elif roll < 0.9 and live:
-            allocator.free(live.pop(rng.randrange(len(live))))
+            block = live.pop(rng.randrange(len(live)))
+            allocator.free(block)
+            if model:
+                model.free(block.address)
             performed["free"] += 1
         elif roll >= 0.9:
             result = compact(allocator)
@@ -64,13 +76,20 @@ def fuzz_walk(policy, indexed, seed, steps=300):
                             block.size)
                 for block in live
             ]
+            if model:
+                model.live = {
+                    result.relocations.get(address, address): size
+                    for address, size in model.live.items()
+                }
         check_invariants(allocator, suite=suite)
+        if model:
+            assert allocator.holes() == model.holes(), f"step {step}"
     return allocator, suite, performed
 
 
-@pytest.mark.parametrize("policy,indexed,seed", CASES)
-def test_fuzz_walk_stays_consistent(policy, indexed, seed):
-    allocator, suite, performed = fuzz_walk(policy, indexed, seed)
+@pytest.mark.parametrize("policy,modelled,seed", CASES)
+def test_fuzz_walk_stays_consistent(policy, modelled, seed):
+    allocator, suite, performed = fuzz_walk(policy, modelled, seed)
     assert suite.ok
     assert suite.checks_run > 0
     assert performed["allocate"] > 0 and performed["free"] > 0
@@ -81,8 +100,8 @@ def test_fuzz_walk_stays_consistent(policy, indexed, seed):
 def test_fuzz_reaches_out_of_memory():
     """At least one walk must exercise the rejection path."""
     total_oom = 0
-    for policy, indexed, seed in CASES:
-        _, _, performed = fuzz_walk(policy, indexed, seed, steps=150)
+    for policy, modelled, seed in CASES:
+        _, _, performed = fuzz_walk(policy, modelled, seed, steps=150)
         total_oom += performed["oom"]
     assert total_oom > 0
 

@@ -3,10 +3,11 @@
 The contract (see ``repro.fastpath``) is bit-identity, not approximate
 agreement: for every trace the batched kernels must produce the same
 fault count, the same cold-fault count, the same fault positions, and
-the same victim sequence as the per-access reference loop; the indexed
-free list must hand out the same addresses and fail on the same requests
-as the linear scan.  These tests sweep randomized workloads across 100+
-seeds so a tie-break divergence anywhere shows up as a concrete seed.
+the same victim sequence as the per-access reference loop.  The free
+list must hand out the addresses, fail on the requests and keep the
+holes of the brute-force model in ``tests/alloc_reference.py``.  These
+tests sweep randomized workloads across 100+ seeds so a tie-break
+divergence anywhere shows up as a concrete seed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.workload import (
     request_schedule,
     zipf_trace,
 )
+from tests.alloc_reference import RULES, ReferenceFreeList
 
 SEEDS = range(100)
 
@@ -183,30 +185,11 @@ class TestFastDispatchGuards:
             )
 
 
-def _drive(allocator: FreeListAllocator, requests):
-    """(address sequence with -1 for failures, final holes) of a schedule."""
-    live: dict[int, object] = {}
-    addresses: list[int] = []
-    for _, action, request in request_schedule(requests):
-        if action == "allocate":
-            try:
-                allocation = allocator.allocate(request.size)
-            except OutOfMemory:
-                addresses.append(-1)
-            else:
-                live[id(request)] = allocation
-                addresses.append(allocation.address)
-        elif id(request) in live:
-            allocator.free(live.pop(id(request)))
-    allocator.check_invariants()
-    return addresses, allocator.holes()
-
-
-INDEXED_POLICIES = ("first_fit", "best_fit", "worst_fit")
+MODEL_POLICIES = tuple(RULES)
 
 
 class TestAllocatorEquivalence:
-    @pytest.mark.parametrize("policy", INDEXED_POLICIES)
+    @pytest.mark.parametrize("policy", MODEL_POLICIES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_identical_addresses_across_seeds(self, policy, seed):
         rng = random.Random(seed)
@@ -218,34 +201,56 @@ class TestAllocatorEquivalence:
             max_size=capacity // 2,
             seed=seed,
         )
-        linear = FreeListAllocator(capacity, policy=policy)
-        indexed = FreeListAllocator(capacity, policy=policy, indexed=True)
-        linear_addresses, linear_holes = _drive(linear, requests)
-        indexed_addresses, indexed_holes = _drive(indexed, requests)
-        assert indexed_addresses == linear_addresses, f"seed={seed}"
-        assert indexed_holes == linear_holes
-        assert indexed.free_words == linear.free_words
-        assert indexed.largest_hole == linear.largest_hole
-        assert indexed.counters.failures == linear.counters.failures
-        assert indexed.counters.words_allocated == linear.counters.words_allocated
+        allocator = FreeListAllocator(capacity, policy=policy)
+        model = ReferenceFreeList(capacity, policy)
+        live = {}
+        failures = 0
+        for time, action, request in request_schedule(requests):
+            where = f"seed={seed} t={time} {action} size={request.size}"
+            if action == "allocate":
+                expected = model.allocate(request.size)
+                try:
+                    allocation = allocator.allocate(request.size)
+                except OutOfMemory:
+                    assert expected is None, f"{where}: model placed at {expected}"
+                    failures += 1
+                else:
+                    assert allocation.address == expected, where
+                    live[id(request)] = allocation
+            elif id(request) in live:
+                allocation = live.pop(id(request))
+                allocator.free(allocation)
+                model.free(allocation.address)
+            assert allocator.holes() == model.holes(), where
+        allocator.check_invariants()
+        assert allocator.counters.failures == failures
 
-    @pytest.mark.parametrize("policy", INDEXED_POLICIES)
+    @pytest.mark.parametrize("policy", MODEL_POLICIES)
     def test_exhaustion_and_reuse(self, policy):
-        linear = FreeListAllocator(100, policy=policy)
-        indexed = FreeListAllocator(100, policy=policy, indexed=True)
-        for allocator in (linear, indexed):
-            blocks = [allocator.allocate(10) for _ in range(10)]
-            with pytest.raises(OutOfMemory):
-                allocator.allocate(1)
-            for block in blocks[::2]:
-                allocator.free(block)
-            allocator.check_invariants()
-        assert linear.holes() == indexed.holes()
-        # Refill the freed checkerboard: same addresses either way.
-        assert [linear.allocate(10).address for _ in range(5)] == [
-            indexed.allocate(10).address for _ in range(5)
+        allocator = FreeListAllocator(100, policy=policy)
+        model = ReferenceFreeList(100, policy)
+        blocks = [allocator.allocate(10) for _ in range(10)]
+        assert [block.address for block in blocks] == [
+            model.allocate(10) for _ in range(10)
         ]
+        with pytest.raises(OutOfMemory):
+            allocator.allocate(1)
+        assert model.allocate(1) is None
+        for block in blocks[::2]:
+            allocator.free(block)
+            model.free(block.address)
+        allocator.check_invariants()
+        assert allocator.holes() == model.holes()
+        # Refill the freed checkerboard: the model's addresses, in order.
+        assert [allocator.allocate(10).address for _ in range(5)] == [
+            model.allocate(10) for _ in range(5)
+        ]
+        assert allocator.holes() == model.holes() == []
 
     def test_indexed_next_fit_rejected(self):
-        with pytest.raises(ValueError, match="next_fit"):
+        # The indexed backend is gone: asking for it, with next_fit or
+        # the default policy, fails at construction.
+        with pytest.raises(TypeError, match="indexed"):
             FreeListAllocator(100, policy="next_fit", indexed=True)
+        with pytest.raises(TypeError, match="indexed"):
+            FreeListAllocator(100, indexed=True)

@@ -1,8 +1,13 @@
-"""Unit tests for the size-class hole index behind ``indexed=True``.
+"""Hole bookkeeping of the free list, one rule at a time.
 
-The linear free list's behaviour is pinned by ``test_alloc_freelist``;
-here we pin the index itself — coalescing, bin migration, tie-breaks,
-and the ``examined`` counts that feed ``search_steps`` accounting.
+The free list keeps its holes in one address-sorted list.  These cases
+pin that list's rules: coalescing on free, splitting on allocate, each
+placement rule's choice and tie-break, the ``search_steps`` count each
+request adds, the wholesale rebuild, and the invariant check.  The
+module keeps the name of the size-class hole index it used to test.
+``test_alloc_freelist`` covers the allocator's public contract; the
+churn test here compares the holes with the brute-force model in
+``tests/alloc_reference.py``.
 """
 
 from __future__ import annotations
@@ -11,177 +16,168 @@ import random
 
 import pytest
 
-from repro.fastpath.holes import HoleIndex
+from repro.alloc import Allocation, FreeListAllocator
+from repro.errors import OutOfMemory
+from tests.alloc_reference import RULES, ReferenceFreeList
+
+POLICIES = ("first_fit", "best_fit", "worst_fit", "next_fit")
 
 
-def make_index(*holes: tuple[int, int]) -> HoleIndex:
-    index = HoleIndex()
-    for address, size in holes:
-        index.insert(address, size)
-    index.check_invariants()
-    return index
+def with_holes(
+    *holes: tuple[int, int], policy: str = "first_fit", capacity: int | None = None
+) -> FreeListAllocator:
+    """A free list whose free words are exactly ``holes``, freed in order.
+
+    Storage ends with the last hole unless ``capacity`` is given; every
+    word outside the holes belongs to a live block.
+    """
+    if capacity is None:
+        capacity = max(address + size for address, size in holes)
+    edges = sorted(
+        {0, capacity}
+        | {address for address, _ in holes}
+        | {address + size for address, size in holes}
+    )
+    allocator = FreeListAllocator(capacity, policy=policy)
+    # Filling from empty, every policy takes the front of the one hole.
+    blocks = {
+        start: allocator.allocate(end - start)
+        for start, end in zip(edges, edges[1:])
+    }
+    for address, _ in holes:
+        allocator.free(blocks[address])
+    allocator.check_invariants()
+    return allocator
 
 
 class TestInsertCoalesce:
     def test_disjoint_holes_stay_separate(self):
-        index = make_index((0, 10), (20, 10))
-        assert index.holes_sorted() == [(0, 10), (20, 10)]
-        assert len(index) == 2
-        assert index.free_words == 20
+        allocator = with_holes((0, 10), (20, 10))
+        assert allocator.holes() == [(0, 10), (20, 10)]
+        assert allocator.free_words == 20
 
     def test_merge_with_predecessor(self):
-        index = make_index((0, 10))
-        index.insert(10, 5)
-        assert index.holes_sorted() == [(0, 15)]
-        index.check_invariants()
+        allocator = FreeListAllocator(20)
+        first, second, _ = (allocator.allocate(size) for size in (10, 5, 5))
+        allocator.free(first)
+        allocator.free(second)
+        assert allocator.holes() == [(0, 15)]
+        allocator.check_invariants()
 
     def test_merge_with_successor(self):
-        index = make_index((10, 5))
-        index.insert(0, 10)
-        assert index.holes_sorted() == [(0, 15)]
-        index.check_invariants()
+        allocator = FreeListAllocator(20)
+        first, second, _ = (allocator.allocate(size) for size in (10, 5, 5))
+        allocator.free(second)
+        allocator.free(first)
+        assert allocator.holes() == [(0, 15)]
+        allocator.check_invariants()
 
     def test_merge_bridges_both_sides(self):
-        index = make_index((0, 10), (15, 10))
-        index.insert(10, 5)
-        assert index.holes_sorted() == [(0, 25)]
-        assert len(index) == 1
-        index.check_invariants()
-
-    def test_merge_migrates_size_class(self):
-        # Two class-2 holes (sizes 4..7) merge into a class-3 hole: the
-        # merged extent must be findable at its NEW class, and the old
-        # fragments must be gone from the old one.
-        index = make_index((0, 6), (6, 6))
-        assert index.holes_sorted() == [(0, 12)]
-        found = index.find_best(9)
-        assert found is not None and found[:2] == (0, 12)
-        assert index.largest_hole == 12
-        index.check_invariants()
+        allocator = with_holes((0, 10), (15, 10))
+        (middle,) = allocator.allocations()
+        allocator.free(middle)
+        assert allocator.holes() == [(0, 25)]
+        allocator.check_invariants()
 
 
 class TestTake:
     def test_take_whole_hole(self):
-        index = make_index((0, 10), (20, 10))
-        index.take(20, 10)
-        assert index.holes_sorted() == [(0, 10)]
-        index.check_invariants()
+        allocator = with_holes((0, 8), (20, 10))
+        assert allocator.allocate(10).address == 20
+        assert allocator.holes() == [(0, 8)]
+        allocator.check_invariants()
 
     def test_take_prefix_leaves_remainder(self):
-        index = make_index((0, 16))
-        index.take(0, 5)
-        assert index.holes_sorted() == [(5, 11)]
-        index.check_invariants()
-
-    def test_remainder_changes_size_class(self):
-        index = make_index((0, 16))   # class 4
-        index.take(0, 13)             # remainder 3: class 1
-        assert index.holes_sorted() == [(13, 3)]
-        assert index.find_first(4) is None
-        found = index.find_first(3)
-        assert found is not None and found[:2] == (13, 3)
-        index.check_invariants()
+        allocator = FreeListAllocator(16)
+        assert allocator.allocate(5).address == 0
+        assert allocator.holes() == [(5, 11)]
+        allocator.check_invariants()
 
     def test_remainder_does_not_coalesce_forward(self):
-        # take() splits in place; the remainder abuts nothing new.
-        index = make_index((0, 10), (10, 10))   # coalesces to (0, 20)
-        index.take(0, 7)
-        assert index.holes_sorted() == [(7, 13)]
-        index.check_invariants()
+        # The remainder of a split hole keeps the split hole's end: the
+        # live block behind it stays live.
+        allocator = with_holes((0, 10), (10, 10), capacity=25)
+        assert allocator.holes() == [(0, 20)]
+        allocator.allocate(7)
+        assert allocator.holes() == [(7, 13)]
+        assert [a.address for a in allocator.allocations()] == [0, 20]
+        allocator.check_invariants()
 
 
 class TestFinders:
     def test_first_fit_is_lowest_address(self):
-        index = make_index((40, 8), (0, 8), (20, 8))
-        found = index.find_first(5)
-        assert found is not None and found[:2] == (0, 8)
+        allocator = with_holes((40, 8), (0, 8), (20, 8), policy="first_fit")
+        assert allocator.allocate(5).address == 0
 
     def test_best_fit_prefers_tightest(self):
-        index = make_index((0, 50), (60, 7), (70, 9))
-        found = index.find_best(6)
-        assert found is not None and found[:2] == (60, 7)
+        allocator = with_holes((0, 50), (60, 7), (70, 9), policy="best_fit")
+        assert allocator.allocate(6).address == 60
 
     def test_best_fit_tie_breaks_lowest_address(self):
-        index = make_index((30, 8), (0, 8), (15, 8))
-        found = index.find_best(8)
-        assert found is not None and found[:2] == (0, 8)
+        allocator = with_holes((30, 8), (0, 8), (15, 8), policy="best_fit")
+        assert allocator.allocate(8).address == 0
 
     def test_worst_fit_tie_breaks_lowest_address(self):
-        index = make_index((30, 8), (0, 8), (15, 4))
-        found = index.find_worst(2)
-        assert found is not None and found[:2] == (0, 8)
+        allocator = with_holes((30, 8), (0, 8), (15, 4), policy="worst_fit")
+        assert allocator.allocate(2).address == 0
 
     def test_finders_return_none_when_nothing_fits(self):
-        index = make_index((0, 4), (10, 4))
-        assert index.find_first(5) is None
-        assert index.find_best(5) is None
-        assert index.find_worst(5) is None
+        for policy in POLICIES:
+            allocator = with_holes((0, 4), (10, 4), policy=policy)
+            assert allocator._choose_hole(5) is None, policy
+            with pytest.raises(OutOfMemory):
+                allocator.allocate(5)
+            assert allocator.holes() == [(0, 4), (10, 4)]
 
     def test_examined_counts_are_positive_and_bounded(self):
-        index = make_index((0, 4), (10, 8), (30, 8), (50, 64))
-        for finder in (index.find_first, index.find_best, index.find_worst):
-            found = finder(5)
-            assert found is not None
-            examined = found[2]
-            assert 1 <= examined <= len(index)
-
-    def test_best_fit_skips_undersized_bins(self):
-        # A thousand tiny holes must not be examined when asking for a
-        # large block — that is the whole point of the index.
-        index = HoleIndex()
-        for i in range(1000):
-            index.insert(i * 2, 1)
-        index.insert(5000, 512)
-        found = index.find_best(100)
-        assert found is not None and found[:2] == (5000, 512)
-        assert found[2] < 10
+        holes = ((0, 4), (10, 8), (30, 8), (50, 64))
+        for policy in POLICIES:
+            allocator = with_holes(*holes, policy=policy)
+            before = allocator.counters.search_steps
+            allocator.allocate(5)
+            examined = allocator.counters.search_steps - before
+            assert 1 <= examined <= len(holes), policy
+            if policy in ("best_fit", "worst_fit"):
+                # The paper's bookkeeping: these rules examine every hole.
+                assert examined == len(holes), policy
 
 
 class TestMaintenance:
     def test_clear(self):
-        index = make_index((0, 10), (20, 10))
-        index.clear()
-        assert len(index) == 0
-        assert index.free_words == 0
-        assert index.largest_hole == 0
-        assert index.find_first(1) is None
-        index.check_invariants()
+        allocator = with_holes((0, 10), (20, 10))
+        allocator.rebuild({0: Allocation(0, 30)}, [])
+        assert allocator.holes() == []
+        assert allocator.free_words == 0
+        assert allocator.largest_hole == 0
+        assert allocator._choose_hole(1) is None
+        allocator.check_invariants()
 
     def test_check_invariants_catches_corruption(self):
-        index = make_index((0, 10))
-        index._size_at[0] = 99   # lie about the size; bins now disagree
+        allocator = with_holes((0, 10), capacity=20)
+        allocator._holes[0] = (0, 99)   # lie about the size
         with pytest.raises(AssertionError):
-            index.check_invariants()
+            allocator.check_invariants()
 
     def test_randomized_churn_matches_brute_force(self):
         rng = random.Random(1967)
-        index = HoleIndex()
-        shadow: dict[int, int] = {}
-
-        def shadow_insert(address: int, size: int) -> None:
-            follower = address + size
-            if follower in shadow:
-                size += shadow.pop(follower)
-            for start, extent in list(shadow.items()):
-                if start + extent == address:
-                    shadow.pop(start)
-                    address, size = start, extent + size
-                    break
-            shadow[address] = size
-
-        cursor = 0
-        for _ in range(500):
-            if shadow and rng.random() < 0.5:
-                start = rng.choice(list(shadow))
-                extent = shadow.pop(start)
-                cut = rng.randint(1, extent)
-                index.take(start, cut)
-                if cut < extent:
-                    shadow[start + cut] = extent - cut
-            else:
-                size = rng.randint(1, 40)
-                index.insert(cursor, size)
-                shadow_insert(cursor, size)
-                cursor += size + rng.randint(1, 20)
-            index.check_invariants()
-            assert index.holes_sorted() == sorted(shadow.items())
+        for policy in RULES:
+            allocator = FreeListAllocator(600, policy=policy)
+            model = ReferenceFreeList(600, policy)
+            live = []
+            for step in range(500):
+                if live and rng.random() < 0.5:
+                    block = live.pop(rng.randrange(len(live)))
+                    allocator.free(block)
+                    model.free(block.address)
+                else:
+                    size = rng.randint(1, 40)
+                    expected = model.allocate(size)
+                    try:
+                        block = allocator.allocate(size)
+                    except OutOfMemory:
+                        assert expected is None, f"{policy} step {step}"
+                    else:
+                        assert block.address == expected, f"{policy} step {step}"
+                        live.append(block)
+                allocator.check_invariants()
+                assert allocator.holes() == model.holes(), f"{policy} step {step}"
