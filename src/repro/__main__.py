@@ -4,8 +4,8 @@
 ``python -m repro survey``   the same, plus hardware facilities.
 ``python -m repro space``    prints the characteristic design space.
 ``python -m repro policies`` lists the strategy registries.
-``python -m repro bench``    runs the perf trajectory suite (see
-                             :mod:`repro.bench`; accepts ``--quick``).
+``python -m repro bench``    runs the telemetry-overhead gate (see
+                             :mod:`repro.bench`).
 ``python -m repro trace``    replays a workload with event tracing on
                              and writes a JSONL trace plus a summary
                              report (see :mod:`repro.observe.cli`).
@@ -32,7 +32,7 @@
                              ``.rtrc`` columnar trace file without
                              materializing it in memory (see
                              :mod:`repro.trace.cli`); replay it with
-                             ``bench --trace-file``.
+                             ``trace PATH`` or ``traffic --trace-file``.
 ``python -m repro top``      renders the live telemetry dashboard —
                              counters, gauges and quantile sketches —
                              from a running sweep's heartbeat file or a
@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         return traffic_main(arguments[1:])
     else:
         print(__doc__)
-        return 1
+        return 2
     return 0
 
 

@@ -9,7 +9,7 @@ Instrumented subsystems hold a :class:`Tracer` (defaulting to
 
 With the null tracer the guard is a single attribute test and no event
 object is ever built — the overhead contract (disabled tracing costs
-≤2% on ``repro.bench``) rests on exactly this pattern, so instrumented
+nothing measurable) rests on exactly this pattern, so instrumented
 code must never emit unconditionally.
 """
 

@@ -5,8 +5,10 @@ materializing the trace in memory, so 100M-reference files are a matter
 of patience, not RAM::
 
     python -m repro trace-gen phased --pages 512 --length 10000000 \\
-        --frames-hint 32 --output big.rtrc
-    python -m repro bench --trace-file big.rtrc
+        --output big.rtrc
+
+``read_trace`` mmaps it back for ``simulate_trace``, and ``python -m
+repro trace big.rtrc`` or ``traffic --trace-file big.rtrc`` replays it.
 
 The generator parameters mirror :mod:`repro.workload.reference`; the
 ``--segment-pages`` and ``--write-fraction`` options add the optional

@@ -70,8 +70,8 @@ TRAFFIC_SCHEMA = SCHEMA
 #: configuration the tests run.
 DRAIN_TICKS_FACTOR = 64
 
-#: The two per-point size classes, mirroring ``repro.bench.SIZE_CLASSES``
-#: vocabulary: ``quick`` finishes a 3-load campaign in seconds.
+#: The two per-point size classes: ``quick`` finishes a 3-load campaign
+#: in seconds.
 POINT_SIZES: dict[str, dict] = {
     "quick": dict(
         pool_frames=48, quotas=(4, 6, 8), pages=64, session_length=96,

@@ -1,202 +1,80 @@
-"""Bench arithmetic guards: zero elapsed time, zeroed metrics, damage."""
-
-import json
+"""The telemetry-overhead gate, and damage counts in JSONL readers."""
 
 import pytest
 
 from repro import bench
-from tests.test_bench_history import canned_report
+
+#: Gate sizes small enough for a whole run to take a fraction of a second.
+SMALL = dict(length=600, frames=8, pages=32, degree=2)
 
 
 class TestZeroElapsed:
-    def test_throughput_of_zero_seconds_is_none(self):
-        assert bench._throughput(1_000, 0.0) is None
-        assert bench._throughput(1_000, 0) is None
-        assert bench._throughput(1_000, 0.5) == 2_000
-
-    def test_suite_survives_a_frozen_clock(self, monkeypatch):
-        """On a coarse clock every timing can come back 0.0; the suite
-        must report n/a throughputs instead of dividing by zero."""
+    def test_suite_survives_a_frozen_clock(self, monkeypatch, capsys):
+        """On a coarse clock every timing can come back 0.0; the gate
+        must report an unmeasured overhead and pass, not divide by
+        zero."""
+        readings = []
+        monkeypatch.setattr(bench, "_print_reading", readings.append)
+        monkeypatch.setattr(bench, "SIZES", SMALL)
         monkeypatch.setattr(bench.time, "perf_counter", lambda: 42.0)
-        report = bench.run_suite(quick=True)
-        for stats in report["replay"]["policies"].values():
-            assert stats["reference_refs_per_s"] is None
-            assert stats["fast_refs_per_s"] is None
-            assert stats["speedup"] is None
-        for stats in report["traffic"]["loads"].values():
-            assert stats["refs_per_s"] is None
-            # The simulation itself runs on virtual time: the frozen
-            # wall clock must not zero the measured work.
-            assert stats["refs"] > 0
-        # The report renders, with n/a columns, rather than crashing.
-        import io
-
-        bench._print_report(report, stream=io.StringIO())
-
-    def test_history_record_tolerates_none_metrics(self):
-        report = canned_report()
-        report["replay"]["policies"]["lru"]["fast_refs_per_s"] = None
-        record = bench.history_record(report)
-        assert record["metrics"]["replay.lru.fast_refs_per_s"] is None
-
-    def test_compare_skips_none_on_either_side(self):
-        baseline = bench.history_record(canned_report())
-        current = bench.history_record(canned_report())
-        baseline["metrics"]["replay.lru.fast_refs_per_s"] = None
-        current["metrics"]["replay.lru.reference_refs_per_s"] = None
-        assert bench.compare_records(current, baseline) == []
+        assert bench.main([]) == 0
+        assert [reading["overhead"] for reading in readings] == [None]
+        assert "could not be measured" in capsys.readouterr().out
 
 
-def traffic_report(scale=1.0, quick=True):
-    """canned_report plus the sections newer bench versions emit."""
-    report = canned_report(quick=quick)
-    report["telemetry"] = {
-        "references": 75_000, "degree": 4, "overhead": 0.011,
-        "off_refs_per_s": 300_000, "on_refs_per_s": 297_000,
-    }
-    report["traffic"] = {
-        "pool_frames": 48, "horizon": 300, "quick": True,
-        "loads": {
-            "1.0": {
-                "arrivals": 30, "admitted": 28, "shed": 2, "completed": 28,
-                "refs": 2_000, "queue_wait_p99": 88.0,
-                "fault_wait_p99": 18.5, "traffic_s": 0.01,
-                "refs_per_s": int(200_000 * scale),
-            },
-        },
-    }
-    return report
+class TestOverheadGate:
+    def test_takes_no_options(self):
+        with pytest.raises(SystemExit) as exit_info:
+            bench.main(["--quick"])
+        assert exit_info.value.code == 2
 
-
-class TestMixedVersionHistory:
-    """--compare must survive histories written by older bench builds:
-    records predating the telemetry and traffic sections (keys absent)
-    and records whose new throughputs were too fast to time (null)."""
-
-    def test_record_without_new_sections_still_flattens(self):
-        record = bench.history_record(canned_report())
-        assert record["telemetry_overhead"] is None
-        assert not any(key.startswith("traffic.") for key in record["metrics"])
-
-    def test_record_with_traffic_flattens(self):
-        record = bench.history_record(traffic_report())
-        assert record["metrics"]["traffic.load1.0.refs_per_s"] == 200_000
-        assert record["telemetry_overhead"] == 0.011
-
-    def test_overhead_rides_outside_the_compared_metrics(self):
-        """A *lower* overhead must never register as a regression, so it
-        must not live where compare_records reads throughputs."""
-        record = bench.history_record(traffic_report())
-        assert "telemetry_overhead" not in record["metrics"]
-        assert not any("overhead" in key for key in record["metrics"])
-
-    def test_compare_old_baseline_against_new_current(self):
-        baseline = bench.history_record(canned_report())
-        current = bench.history_record(traffic_report())
-        current["metrics"]["traffic.load1.0.refs_per_s"] = 1  # collapsed
-        # The traffic metric has no baseline: skipped, not flagged.
-        assert bench.compare_records(current, baseline) == []
-
-    def test_compare_new_baseline_against_old_current(self):
-        baseline = bench.history_record(traffic_report())
-        current = bench.history_record(canned_report())
-        assert bench.compare_records(current, baseline) == []
-
-    def test_compare_skips_untimed_traffic_on_either_side(self):
-        baseline = bench.history_record(traffic_report())
-        current = bench.history_record(traffic_report())
-        current["metrics"]["traffic.load1.0.refs_per_s"] = None
-        assert bench.compare_records(current, baseline) == []
-        assert bench.compare_records(baseline, current) == []
-
-    def test_traffic_regression_still_flagged(self):
-        baseline = bench.history_record(traffic_report())
-        current = bench.history_record(traffic_report(scale=0.5))
-        flagged = bench.compare_records(current, baseline)
-        assert [row["metric"] for row in flagged] == [
-            "traffic.load1.0.refs_per_s"
-        ]
-
-    def test_cli_compare_survives_a_pre_traffic_baseline(
-        self, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize(
+        "overheads, status",
+        [((0.05, 0.05, 0.05), 1), ((0.05, 0.01), 0), ((0.01,), 0)],
+        ids=["over-every-time", "recovers", "within-first-time"],
+    )
+    def test_reading_over_budget_is_measured_again_up_to_twice(
+        self, monkeypatch, capsys, overheads, status
     ):
-        import copy
+        """The gate takes the minimum of at most three readings and
+        stops measuring as soon as one is within budget."""
+        readings = iter(overheads)
+        calls = []
 
-        monkeypatch.setattr(
-            bench, "run_suite",
-            lambda quick=False, trace_file=None:
-                copy.deepcopy(traffic_report(quick=quick)),
-        )
-        history = tmp_path / "history.jsonl"
-        bench.append_history(bench.history_record(canned_report()), history)
-        status = bench.main([
-            "--quick", "--no-write", "--history", str(history), "--compare",
-        ])
-        assert status == 0
-        assert "no regressions" in capsys.readouterr().out
+        def fake_bench_telemetry(**sizes):
+            calls.append(sizes)
+            overhead = next(readings)
+            return {
+                "replay_ratio": 1.0 + overhead, "serve_ratio": 1.0 + overhead,
+                "replay_share": 0.5, "overhead": overhead,
+            }
 
-    def test_print_report_renders_untimed_traffic(self):
-        import io
+        monkeypatch.setattr(bench, "bench_telemetry", fake_bench_telemetry)
+        assert bench.main([]) == status
+        assert calls == [bench.SIZES] * len(overheads)
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert f"{min(overheads):+.2%}" in verdict
 
-        report = traffic_report()
-        report["traffic"]["loads"]["1.0"]["refs_per_s"] = None
-        stream = io.StringIO()
-        bench._print_report(report, stream=stream)
-        assert "n/a" in stream.getvalue()
+    @pytest.mark.parametrize(
+        "entry, field, leg",
+        [("simulate_trace", "faults", "replay"),
+         ("simulate_shared", "cow_breaks", "serve")],
+    )
+    def test_telemetry_changing_an_answer_raises(
+        self, monkeypatch, entry, field, leg
+    ):
+        real = getattr(bench, entry)
 
+        def skewed(*args, telemetry=None, **kwargs):
+            result = real(*args, telemetry=telemetry, **kwargs)
+            if telemetry is not None:
+                setattr(result, field, getattr(result, field) + 1)
+            return result
 
-class TestZeroCurrentValue:
-    def test_collapse_to_zero_is_a_regression(self):
-        """A current throughput of 0 against a positive baseline is the
-        worst possible regression, not a metric to skip."""
-        baseline = bench.history_record(canned_report())
-        current = bench.history_record(canned_report())
-        current["metrics"]["replay.lru.fast_refs_per_s"] = 0
-        flagged = bench.compare_records(current, baseline)
-        assert len(flagged) == 1
-        assert flagged[0]["metric"] == "replay.lru.fast_refs_per_s"
-        assert flagged[0]["change"] == -1.0
-
-    def test_zero_baseline_still_skipped(self):
-        baseline = bench.history_record(canned_report())
-        current = bench.history_record(canned_report())
-        baseline["metrics"]["replay.lru.fast_refs_per_s"] = 0
-        assert bench.compare_records(current, baseline) == []
-
-
-class TestDamagedHistory:
-    def test_damage_count_surfaced(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        good = bench.history_record(canned_report())
-        path.write_text(
-            "garbage\n" + json.dumps(good) + "\n" + '{"metrics": 1}\n'
-        )
-        records, damaged = bench.read_history_with_damage(path)
-        assert records == [good]
-        assert damaged == 2
-
-    def test_missing_file_has_no_damage(self, tmp_path):
-        assert bench.read_history_with_damage(tmp_path / "none.jsonl") == \
-            ([], 0)
-
-    def test_compare_warns_about_damaged_lines(self, tmp_path, monkeypatch,
-                                               capsys):
-        import copy
-
-        monkeypatch.setattr(
-            bench, "run_suite",
-            lambda quick=False, trace_file=None:
-                copy.deepcopy(canned_report(quick=quick)),
-        )
-        path = tmp_path / "history.jsonl"
-        baseline = bench.history_record(canned_report())
-        path.write_text("corrupt {\n" + json.dumps(baseline) + "\n")
-        status = bench.main([
-            "--quick", "--no-write", "--history", str(path), "--compare",
-        ])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "skipped 1 unreadable line(s)" in out
+        monkeypatch.setattr(bench, entry, skewed)
+        monkeypatch.setattr(bench, "SIZES", SMALL)
+        with pytest.raises(AssertionError, match=f"changed the {leg} result"):
+            bench.main([])
 
 
 class TestReadJsonlRecords:

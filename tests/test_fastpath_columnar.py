@@ -25,7 +25,7 @@ import pytest
 import repro.fastpath.columnar as columnar_module
 from repro.advice.pager import AdvisedReplacementPolicy
 from repro.fastpath.columnar import run_columnar
-from repro.fastpath.replay import run_fast
+from repro.fastpath.replay import FAST_KERNELS, run_fast
 from repro.paging import (
     BeladyOptimalPolicy,
     ClockPolicy,
@@ -33,7 +33,8 @@ from repro.paging import (
     LruPolicy,
     simulate_trace,
 )
-from repro.trace import ColumnarTrace
+from repro.trace import ColumnarTrace, read_trace
+from repro.trace.cli import main as trace_gen_main
 from repro.workload import phased_trace, random_trace, zipf_trace
 
 SEEDS = range(100)
@@ -356,6 +357,45 @@ class TestNoNumpyMatrix:
             record_positions=True, record_evictions=True,
         )
         _assert_same(reference, fast, f"{name} seed={seed}")
+
+
+class TestTraceFileReplay:
+    """A ``trace-gen`` file mmapped back by ``read_trace`` replays
+    bit-identically through the default dispatch, the list kernel over
+    the mapped column and, with numpy, the vectorized kernel."""
+
+    @pytest.mark.parametrize("name", FAST_POLICIES)
+    def test_mmapped_file_matches_reference_loop(self, tmp_path, name):
+        path = tmp_path / "phased.rtrc"
+        assert trace_gen_main([
+            "phased", "--length", "60000", "--pages", "256",
+            "--working-set", "24", "--phase-length", "5000",
+            "--locality", "0.995", "--output", str(path),
+        ]) == 0
+        trace = read_trace(path)
+        try:
+            assert isinstance(trace.replay_view(), memoryview)
+            record = dict(record_positions=True, record_evictions=True)
+            refs = trace.as_list()
+            reference = simulate_trace(
+                refs, 128, _make_policy(name, refs), fast=False, **record
+            )
+            kernel = FAST_KERNELS[type(_make_policy(name, trace))]
+            tiers = {
+                "dispatch": simulate_trace(
+                    trace, 128, _make_policy(name, trace), **record
+                ),
+                "list kernel": kernel(trace, 128, **record),
+            }
+            if not numpy_missing:
+                tiers["columnar"] = run_columnar(
+                    trace, 128, _make_policy(name, trace), force=True,
+                    **record,
+                )
+            for tier, result in tiers.items():
+                _assert_same(reference, result, f"{name} {tier}")
+        finally:
+            trace.close()
 
 
 class TestColumnarTraceContainer:

@@ -202,4 +202,4 @@ class TestCliEntryPoint:
 
     def test_unknown_command(self, capsys):
         from repro.__main__ import main
-        assert main(["bogus"]) == 1
+        assert main(["bogus"]) == 2
