@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,12 @@ class Think:
         if self.duration <= 0:
             raise ValueError("think duration must be positive")
 
+from repro.fastpath.replay import run_fast
 from repro.observe.events import Evict, Fault, Place
 from repro.observe.tracer import Tracer, as_tracer
 from repro.paging.frame import FrameTable
 from repro.paging.replacement.base import ReplacementPolicy
+from repro.paging.replacement.simple import FifoPolicy, LruPolicy
 from repro.sim.engine import EventQueue
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.spacetime import SpaceTimeAccount, SpaceTimeBreakdown
@@ -61,7 +63,13 @@ class ProgramSpec:
     frames:
         Size of the program's core partition, in page frames.
     policy:
-        A fresh replacement policy instance for this program.
+        A fresh replacement policy instance for this program.  When the
+        simulator plans the program (see
+        :class:`MultiprogrammingSimulator`), the policy object is never
+        called, as with ``simulate_trace(fast=True)``'s kernels.  On
+        either path a fresh ``TrackingPolicy`` is empty after ``run()``:
+        the loop evicts every page of a departing program, and a planned
+        program's policy is never filled.
     reference_time:
         Processor cycles per reference (compute speed).
     arrival:
@@ -133,6 +141,12 @@ class SimulationSummary:
         return sum(p.faults for p in self.programs)
 
 
+#: Policies a partitioned program is planned for, by exact type: a
+#: subclass may override ``choose_victim``.  Clock is left out because
+#: the mix's re-executed faulting reference sets its reference bit.
+_PLANNED = (FifoPolicy, LruPolicy)
+
+
 class _State(enum.Enum):
     READY = "ready"
     WAITING = "waiting"     # awaiting a page (occupies storage, Fig. 3)
@@ -158,9 +172,19 @@ class _Program:
         self.completion_time = 0
         self.interaction_start = spec.arrival
         self.response_times: list[int] = []
+        self.references = sum(
+            1 for item in spec.trace if not isinstance(item, Think)
+        )
         # Set (to an int) by the simulator in shared-pool mode, where the
         # private frame table is unused.
         self.external_resident: int | None = None
+        # Set by ``MultiprogrammingSimulator._plan`` when the program's
+        # faults are known ahead: the fault positions and victims still
+        # to come, and the next fault position (the trace length once
+        # none is left).
+        self.fault_plan: Iterator[int] | None = None
+        self.victim_plan: Iterator[Hashable] | None = None
+        self.next_fault = 0
 
     def occupancy_words(self) -> int:
         count = (
@@ -184,6 +208,22 @@ class _Program:
 
 class MultiprogrammingSimulator:
     """N trace-driven programs, one processor, partitioned core.
+
+    In partitioned mode a program's faults and victims depend only on
+    its own trace and partition, so a program whose policy is exactly
+    ``LruPolicy`` or ``FifoPolicy`` and whose trace has no ``Think``
+    markers is *planned*: ``run()`` first replays its trace through
+    ``run_fast``, the dispatch ``simulate_trace`` uses, for its fault
+    positions and victims, and each slice then jumps over the hits
+    before the next fault in one step.  This is exact because the
+    program's ``on_load`` and ``on_access`` stamps rise strictly with
+    trace position, so ``min(last_use)`` and ``min(loaded_at)`` pick the
+    kernels' victims.  Clock is not planned: the mix re-executes a
+    faulting reference as a hit, which sets the reference bit that
+    ``simulate_trace`` leaves clear.  Faults, fetch completions, the
+    scheduler order, events and the checked audit stay event by event.
+    Every other program, and global-pool mode, runs the per-reference
+    loop, which ``tests/test_mix_differential.py`` keeps as the oracle.
 
     Parameters
     ----------
@@ -273,6 +313,8 @@ class MultiprogrammingSimulator:
 
     def run(self) -> SimulationSummary:
         """Simulate to completion of every program."""
+        if self._pool is None:
+            self._plan()
         for name, program in self._programs.items():
             arrival = program.spec.arrival
             if arrival == 0:
@@ -298,6 +340,24 @@ class MultiprogrammingSimulator:
 
     # -- mechanics ---------------------------------------------------------------
 
+    def _plan(self) -> None:
+        """Give each plannable program its fault positions and victims."""
+        for program in self._programs.values():
+            spec = program.spec
+            trace = spec.trace
+            if (
+                type(spec.policy) not in _PLANNED
+                or program.references != len(trace)
+            ):
+                continue
+            plan = run_fast(
+                trace, spec.frames, spec.policy,
+                record_positions=True, record_evictions=True,
+            )
+            program.fault_plan = iter(plan.fault_positions)
+            program.victim_plan = iter(plan.victims)
+            program.next_fault = next(program.fault_plan, len(trace))
+
     def _deliver_due_events(self) -> None:
         while self._events:
             time = self._events.peek_time()
@@ -319,6 +379,9 @@ class MultiprogrammingSimulator:
     def _run_slice(self, program: _Program) -> None:
         spec = program.spec
         slice_end = self.now + self.scheduler.time_slice(spec.name)
+        if program.fault_plan is not None:
+            self._run_planned(program, slice_end)
+            return
         while self.now < slice_end:
             if program.position >= len(spec.trace):
                 self._finish(program)
@@ -346,33 +409,71 @@ class MultiprogrammingSimulator:
                 self._note_access(program, page)
                 program.position += 1
                 continue
-            # Page fault: block for the fetch.  In partitioned mode the
-            # victim is chosen now (the partition is private); in shared
-            # mode room is made when the fetch lands (the pool is
-            # contended meanwhile).
-            program.faults += 1
-            program.settle(self.now)
-            if self.tracer.enabled:
-                self.tracer.emit(Fault(
-                    time=self.now, unit=page, program=spec.name,
-                ))
-            if self._pool is None and program.frames.is_full():
+            self._fault(program, page)
+            return
+        # Quantum expired with work remaining: rotate to the tail.
+        self.scheduler.make_ready(spec.name)
+
+    def _run_planned(self, program: _Program, slice_end: int) -> None:
+        """One slice of a planned program, in O(1) however many hits.
+
+        Every reference before ``next_fault`` hits, and neither the
+        partition's occupancy nor the program's state changes over them,
+        so the settle that precedes the next change integrates the run
+        exactly.  The loop tests the slice end before the trace end or a
+        fault, so a run of hits that fills the slice rotates to the ready
+        queue even when it stops on a fault position or the trace end.
+        """
+        spec = program.spec
+        reference_time = spec.reference_time
+        hits = min(
+            -((self.now - slice_end) // reference_time),
+            program.next_fault - program.position,
+        )
+        if hits > 0:
+            cycles = hits * reference_time
+            self.now += cycles
+            self.cpu_busy += cycles
+            program.compute_cycles += cycles
+            program.position += hits
+        if self.now >= slice_end:
+            self.scheduler.make_ready(spec.name)
+        elif program.position == program.references:   # no Think markers
+            self._finish(program)
+        else:
+            self._fault(program, spec.trace[program.position])
+            program.next_fault = next(program.fault_plan, program.references)
+
+    def _fault(self, program: _Program, page: Hashable) -> None:
+        """Block ``program`` for the fetch of ``page``.
+
+        In partitioned mode the victim is chosen now (the partition is
+        private); in shared mode room is made when the fetch lands (the
+        pool is contended meanwhile).
+        """
+        spec = program.spec
+        program.faults += 1
+        program.settle(self.now)
+        if self.tracer.enabled:
+            self.tracer.emit(Fault(
+                time=self.now, unit=page, program=spec.name,
+            ))
+        if self._pool is None and program.frames.is_full():
+            if program.fault_plan is None:
                 victim = spec.policy.choose_victim(
                     program.frames.resident_pages(), self.now
                 )
                 program.frames.release(victim)
                 spec.policy.on_evict(victim)
-                if self.tracer.enabled:
-                    self.tracer.emit(Evict(
-                        time=self.now, unit=victim, program=spec.name,
-                    ))
-            program.state = _State.WAITING
-            self._events.schedule(
-                self.now + self.fetch_time, (spec.name, page)
-            )
-            return
-        # Quantum expired with work remaining: rotate to the tail.
-        self.scheduler.make_ready(spec.name)
+            else:
+                victim = next(program.victim_plan)
+                program.frames.release(victim)
+            if self.tracer.enabled:
+                self.tracer.emit(Evict(
+                    time=self.now, unit=victim, program=spec.name,
+                ))
+        program.state = _State.WAITING
+        self._events.schedule(self.now + self.fetch_time, (spec.name, page))
 
     def _complete_fetch(self, payload: tuple[str, Hashable], time: int) -> None:
         name, page = payload
@@ -392,13 +493,13 @@ class MultiprogrammingSimulator:
                     ))
         else:
             frame = program.frames.acquire(page)
-            program.spec.policy.on_load(page, time)
+            if program.fault_plan is None:
+                program.spec.policy.on_load(page, time)
             if self.tracer.enabled:
                 self.tracer.emit(Place(
                     time=time, unit=page, where=frame, program=name,
                 ))
         program.state = _State.READY
-        program.settle(time)   # zero-length, but refreshes occupancy basis
         self.scheduler.make_ready(name)
         if self._suite is not None:
             self._fetches_seen += 1
@@ -480,7 +581,8 @@ class MultiprogrammingSimulator:
         else:
             for page in program.frames.resident_pages():
                 program.frames.release(page)
-                program.spec.policy.on_evict(page)
+                if program.fault_plan is None:
+                    program.spec.policy.on_evict(page)
         program.state = _State.DONE
         program.completion_time = self.now
 
@@ -490,15 +592,11 @@ class MultiprogrammingSimulator:
         makespan = self.now
         results = []
         for program in self._programs.values():
-            references = sum(
-                1 for item in program.spec.trace
-                if not isinstance(item, Think)
-            )
             results.append(
                 ProgramResult(
                     name=program.spec.name,
                     completion_time=program.completion_time,
-                    references=references,
+                    references=program.references,
                     faults=program.faults,
                     compute_cycles=program.compute_cycles,
                     wait_cycles=program.wait_cycles,

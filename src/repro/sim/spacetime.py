@@ -55,12 +55,11 @@ class SpaceTimeAccount:
     instance.
     """
 
-    __slots__ = ("_active", "_waiting", "intervals")
+    __slots__ = ("_active", "_waiting")
 
     def __init__(self) -> None:
         self._active = 0
         self._waiting = 0
-        self.intervals = 0
 
     def accumulate(self, words: int, duration: int, waiting: bool) -> None:
         """Record ``words`` held for ``duration`` cycles.
@@ -78,7 +77,6 @@ class SpaceTimeAccount:
             self._waiting += product
         else:
             self._active += product
-        self.intervals += 1
 
     @property
     def breakdown(self) -> SpaceTimeBreakdown:

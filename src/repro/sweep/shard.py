@@ -63,11 +63,14 @@ CHECK_EVERY_OPS = 256
 #: Ops between fragmentation samples of the allocator under load.
 SAMPLE_EVERY_OPS = 64
 
-#: Per-process memo of generated traces, keyed by the full generator
+#: Per-process memo of replay traces, keyed by the full generator
 #: parameter set.  Shards differing only in machine, policy or frames
 #: replay the *same* workload (see ``_replay``), so a grid with N frame
 #: allotments would otherwise regenerate each trace N times per worker.
-#: Bounded because 100M-ref column traces are not free to keep around.
+#: The mix and serve legs seed their traces from the full shard id, so
+#: no other shard could reuse them; they call ``phased_trace`` directly
+#: and never push a replay trace out.  Bounded because 100M-ref column
+#: traces are not free to keep around.
 _TRACE_CACHE: OrderedDict[tuple, object] = OrderedDict()
 
 #: Distinct traces a worker process keeps alive at once.
@@ -147,7 +150,7 @@ def _mix(spec: dict, config, counters: Counters) -> dict:
     per_program = max(2, spec["frames"] // spec["programs"])
     specs = []
     for index in range(spec["programs"]):
-        trace = _cached_phased_trace(
+        trace = phased_trace(
             pages=spec["pages"],
             length=spec["program_length"],
             working_set=max(2, min(spec["pages"], per_program)),
@@ -258,7 +261,7 @@ def _serve(spec: dict, counters: Counters,
     length = spec["program_length"]
     base_seed = spec["base_seed"]
     traces = [
-        _cached_phased_trace(
+        phased_trace(
             pages=spec["pages"],
             length=length,
             working_set=max(4, spec["pages"] // 4),

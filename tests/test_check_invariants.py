@@ -215,7 +215,7 @@ class TestCheckedSimulateTrace:
 
 
 class TestCheckedMultiprogramming:
-    def build(self, shared, checked=True):
+    def build(self, shared, checked=True, tracer=None):
         import random
 
         from repro.paging.replacement import make_policy
@@ -240,14 +240,37 @@ class TestCheckedMultiprogramming:
             kwargs = dict(shared_frames=8, shared_policy=make_policy("lru"))
         return MultiprogrammingSimulator(
             specs, RoundRobinScheduler(quantum=40), fetch_time=200,
-            checked=checked, **kwargs,
+            checked=checked, tracer=tracer, **kwargs,
         )
 
     def test_partitioned_checked_run_matches_unchecked(self):
         checked = self.build(shared=False).run()
         plain = self.build(shared=False, checked=False).run()
-        assert checked.makespan == plain.makespan
-        assert checked.cpu_busy == plain.cpu_busy
+        assert checked == plain
+
+    def test_planned_partition_corruption_detected(self):
+        """The LRU programs here are planned, so their hits never touch
+        the frame table; a phantom page slipped into one at the 40th
+        placement must still fail the next 32-fetch audit."""
+        from repro.observe import CallbackSink, Tracer
+
+        places = []
+
+        def corrupt(event):
+            if event.kind != "place":
+                return
+            places.append(event)
+            if len(places) == 40:
+                frames = sim._programs[event.program].frames
+                frames._frame_of["phantom"] = 0
+
+        sim = self.build(shared=False, tracer=Tracer([CallbackSink(corrupt)]))
+        with pytest.raises(InvariantViolation) as caught:
+            sim.run()
+        assert caught.value.invariant == "frame_accounting"
+        assert all(program.fault_plan is not None
+                   for program in sim._programs.values())
+        assert sim._fetches_seen == 64
 
     def test_shared_pool_checked_run(self):
         sim = self.build(shared=True)

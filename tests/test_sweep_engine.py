@@ -80,6 +80,37 @@ class TestDeterminism:
         assert comparable(a) != comparable(b)
 
 
+class TestTraceCache:
+    def test_one_shot_traces_leave_replay_traces_cached(self, monkeypatch):
+        """The mix and serve legs seed their traces from the shard id, so
+        no other shard can reuse them.  They must not push the replay
+        traces, which every shard of a workload shares, out of the
+        worker's cache: in one process each replay trace is generated
+        once, however the seeds interleave with sharing 1 and 4."""
+        from collections import Counter, OrderedDict
+
+        from repro.sweep import shard as shard_module
+
+        real = shard_module.phased_trace
+        generated = Counter()
+
+        def counting(**params):
+            generated[params["length"], params["seed"]] += 1
+            return real(**params)
+
+        monkeypatch.setattr(shard_module, "phased_trace", counting)
+        monkeypatch.setattr(shard_module, "_TRACE_CACHE", OrderedDict())
+        grid = tiny_grid(seeds=(0, 1, 2), sharing=(1, 4))
+        specs = [shard.spec() for shard in grid.shards()]
+        for spec in specs:
+            run_shard(spec)
+        replay = {seed: count for (length, seed), count in generated.items()
+                  if length == grid.length}
+        workloads = {shard_module._replay_workload_id(spec) for spec in specs}
+        assert len(replay) == len(workloads) == 3
+        assert list(replay.values()) == [1, 1, 1]
+
+
 class TestCheckpointing:
     def test_records_appended_as_sorted_json(self, tmp_path):
         path = tmp_path / "results.jsonl"
