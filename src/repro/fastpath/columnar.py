@@ -55,8 +55,9 @@ encoded key ``segment * page_span + page`` and victims are decoded back
 to tuples, so the two-level configurations get the same speedup.
 
 The kernels need numpy (the ``perf`` extra), which :func:`load_numpy`
-imports on the first column-backed replay, not with this module, so
-callers that replay only plain lists never load it.  Without numpy, or
+imports on the first column-backed replay of at least
+``MIN_COLUMNAR_REFS`` references, not with this module, so callers that
+replay only plain lists or short traces never load it.  Without numpy, or
 for traces that are small, not column-backed, too sparse (huge id space), or too
 fault-heavy for chunk skipping to pay (an early abort heuristic),
 :func:`run_columnar` returns ``None`` and the caller falls back to the
@@ -90,8 +91,10 @@ def load_numpy():
 
     numpy is optional (the ``[perf]`` extra), and importing it grows
     resident memory by megabytes, so the import waits for the first
-    column-backed replay: list-trace callers such as the shared replay
-    never pay for it.
+    column-backed replay long enough for the columnar tier
+    (``MIN_COLUMNAR_REFS`` references or ``force=True``): list-trace
+    callers such as the shared replay, and short array-backed traces
+    such as a sweep shard's, never pay for it.
     """
     global _np
     if _np is _UNLOADED:
@@ -399,14 +402,14 @@ def run_columnar(
     columns = _columns_of(trace)
     if columns is None:
         return None
-    np = load_numpy()
-    if np is None:
-        return None
     pages_col, segments_col, cached_spans = columns
     n = len(pages_col)
     if n > _MAX_INT32_REFS:
         return None     # int32 position columns would overflow
     if n < MIN_COLUMNAR_REFS and not force:
+        return None
+    np = load_numpy()
+    if np is None:
         return None
     if n == 0:
         return SimulationResult(

@@ -101,6 +101,30 @@ class LogHistogram:
         index = self._index(value)
         self._counts[index] = self._counts.get(index, 0) + 1
 
+    def observe_repeated(self, value: float, count: int) -> None:
+        """Record ``count`` copies of ``value`` — one fold of a tally.
+
+        For an integer value this leaves the sketch bit-identical to
+        ``count`` calls of :meth:`observe`; a float's sum may differ from
+        repeated addition in the last bits.  Raises on a negative value
+        and on a count that is not a positive int.
+        """
+        if value < 0:
+            raise ValueError(f"cannot sketch negative value {value!r}")
+        if not _is_int(count) or count <= 0:
+            raise ValueError(f"count must be a positive int, got {count!r}")
+        self._count += count
+        self._sum += value * count
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
+        if value == 0:
+            self._zeros += count
+            return
+        index = self._index(value)
+        self._counts[index] = self._counts.get(index, 0) + count
+
     def observe_many(self, values: Iterable[float]) -> None:
         for value in values:
             self.observe(value)

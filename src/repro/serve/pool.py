@@ -125,6 +125,10 @@ class SharedFramePool:
         self._free: list[int] = list(range(frame_count - 1, -1, -1))
         self._refs = RefCounter()
         self._evictor = LRUEvictor()
+        # The evictor's ordered dict (key -> (frame, freed_at), oldest
+        # first), which acquire and release use in place on the fault
+        # path; cow_break and forget go through the evictor's methods.
+        self._cached = self._evictor._cached
         self._views: list["TenantView"] = []
         self._ops = 0
         self.now: int | None = None
@@ -160,12 +164,12 @@ class SharedFramePool:
     @property
     def cached_count(self) -> int:
         """Zero-ref frames still caching content (the freed-dedup pool)."""
-        return len(self._evictor)
+        return len(self._cached)
 
     @property
     def resident_count(self) -> int:
         """Frames pinned by at least one reference."""
-        return len(self._frame_of) - len(self._evictor)
+        return len(self._frame_of) - len(self._cached)
 
     @property
     def ref_total(self) -> int:
@@ -174,7 +178,7 @@ class SharedFramePool:
 
     def is_exhausted(self) -> bool:
         """True when every frame is pinned: no free, nothing reclaimable."""
-        return not self._free and not len(self._evictor)
+        return not self._free and not self._cached
 
     # -- the serving operations --------------------------------------------
 
@@ -201,15 +205,16 @@ class SharedFramePool:
         self, key: Hashable, program: str | None = None
     ) -> tuple[int, str | None]:
         self._ops += 1
-        self.stats.acquires += 1
-        frame = self._frame_of.get(key)
+        stats = self.stats
+        stats.acquires += 1
+        frame_of = self._frame_of
+        frame = frame_of.get(key)
         if frame is not None:
-            if key in self._evictor:
+            if self._cached.pop(key, None) is not None:
                 # Content-addressed revival: the frame was freed but the
                 # bytes are still there.
-                self._evictor.remove(key)
                 self._refs.incr(key)
-                self.stats.dedup_hits += 1
+                stats.dedup_hits += 1
                 if self.tracer.enabled:
                     self.tracer.emit(DedupHit(
                         time=self._time(), unit=key, where=frame,
@@ -217,16 +222,30 @@ class SharedFramePool:
                     ))
                 return frame, "dedup"
             refs = self._refs.incr(key)
-            self.stats.shares += 1
+            stats.shares += 1
             if self.tracer.enabled:
                 self.tracer.emit(Share(
                     time=self._time(), unit=key, where=frame, refs=refs,
                     program=program,
                 ))
             return frame, "share"
-        frame = self._claim_frame(key)
+        # A miss claims a frame in place, as _claim_frame does: the free
+        # list first, else the cached content freed longest ago.
+        if self._free:
+            frame = self._free.pop()
+        else:
+            cached = self._cached
+            if not cached:
+                raise OutOfMemory(
+                    1, f"all {len(self._owners)} frames are pinned "
+                       f"(acquiring {key!r})"
+                )
+            victim = next(iter(cached))
+            frame = cached.pop(victim)[0]
+            del frame_of[victim]
+            stats.reclaims += 1
         self._owners[frame] = key
-        self._frame_of[key] = frame
+        frame_of[key] = frame
         self._refs.incr(key)
         return frame, None
 
@@ -241,7 +260,11 @@ class SharedFramePool:
         if frame is None:
             raise KeyError(f"content {key!r} is not in the pool")
         if self._refs.decr(key) == 0:
-            self._evictor.add(key, frame, freed_at=self._ops)
+            # LRUEvictor.add in place, its check included.
+            cached = self._cached
+            if key in cached:
+                raise ValueError(f"content {key!r} already cached")
+            cached[key] = (frame, self._ops)
         self.stats.releases += 1
         return frame
 
@@ -317,7 +340,7 @@ class SharedFramePool:
     def _claim_frame(self, for_key: Hashable) -> int:
         if self._free:
             return self._free.pop()
-        if len(self._evictor):
+        if self._cached:
             victim_key, frame = self._evictor.evict()
             self._drop(victim_key, frame, to_free=False)
             self.stats.reclaims += 1

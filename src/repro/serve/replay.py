@@ -44,6 +44,7 @@ from heapq import heapify, heappop, heapreplace
 from itertools import compress
 from typing import Callable, Hashable, Sequence
 
+from repro.fastpath.replay import _as_fast_sequence
 from repro.observe.counters import Counters
 from repro.observe.events import Evict, Fault
 from repro.observe.telemetry.registry import TelemetryRegistry
@@ -222,7 +223,8 @@ def simulate_shared(
     # the interleaved replay would produce, because its own quota, not
     # the pool, decides when and what it evicts.
     runs: list[SimulationResult] = []
-    streams: list[tuple[array, array]] = []
+    streams: list[array] = []      # per tenant: faults, then shared writes
+    pages = [_as_fast_sequence(trace) for trace in traces]   # replay_view()
     for tenant, trace in enumerate(traces):
         flags = writes[tenant] if writes is not None else None
         run = simulate_trace(
@@ -234,14 +236,18 @@ def simulate_shared(
         if not record_positions:
             run.fault_positions = []
         shared_writes = (
-            _first_shared_writes(trace, flags, positions, views[tenant])
+            _first_shared_writes(pages[tenant], flags, positions,
+                                 views[tenant])
             if flags is not None else array("q")
         )
         runs.append(run)
-        streams.append((positions, shared_writes))
+        streams += (positions, shared_writes)
 
-    # Phase 2: the pool events, in (index, tenant) order — one heap
-    # entry per non-empty stream: (index, tenant, kind, cursor).
+    # Phase 2: the pool events, in (index, tenant, kind) order.  Stream
+    # ``tenant * 2 + kind`` keeps one integer code in the heap while it
+    # has events left: its next index * width + its stream number, which
+    # sorts exactly like that tuple.  No index is both a fault and a
+    # first shared write of one tenant, so codes never tie.
     suite = None
     if checked:
         from repro.check.invariants import InvariantSuite
@@ -249,10 +255,11 @@ def simulate_shared(
         suite = InvariantSuite()
     audited = [pool, *views]
     victims = [run.victims for run in runs]
+    width = 2 * tenants
+    cursors = [0] * width        # events taken, per stream
     heap = [
-        (stream[0], tenant, kind, 0)
-        for tenant, pair in enumerate(streams)
-        for kind, stream in enumerate(pair)
+        stream[0] * width + number
+        for number, stream in enumerate(streams)
         if stream
     ]
     heapify(heap)
@@ -260,24 +267,29 @@ def simulate_shared(
     # holds vs. what the tenants' views add up to.  One shared frame
     # referenced by k tenants costs 1 in the pool and k in the
     # per-tenant sum — the gap is the serving tier's storage saving.
-    # Both change only at events, so they integrate over the gaps.
+    # Both change only at events, so they integrate over the gaps.  The
+    # pool's pinned count is read off its maps, as resident_count does.
+    pool_keys, pool_cached = pool._frame_of, pool._cached
     shared_cycles = private_cycles = 0
     private_resident = 0
     since = 0           # the index from which the current state holds
     events = 0
     while heap:
-        index, tenant, kind, cursor = heap[0]
+        index, number = divmod(heap[0], width)
         if index != since:
-            shared_cycles += pool.resident_count * (index - since)
-            private_cycles += private_resident * (index - since)
+            gap = index - since
+            shared_cycles += (len(pool_keys) - len(pool_cached)) * gap
+            private_cycles += private_resident * gap
             since = index
         if suite is not None and events % 64 == 0:
             suite.check_all(audited)
         events += 1
         pool.now = index
+        tenant = number >> 1
         view = views[tenant]
-        page = traces[tenant][index]
-        if kind == _FAULT:
+        page = pages[tenant][index]
+        cursor = cursors[number]
+        if number & 1 == _FAULT:
             label = labels[tenant]
             if tracing:
                 write = writes is not None and bool(writes[tenant][index])
@@ -294,10 +306,11 @@ def simulate_shared(
             view.acquire_detail(page)
         else:
             view.note_write(page)
-        stream = streams[tenant][kind]
+        stream = streams[number]
         cursor += 1
+        cursors[number] = cursor
         if cursor < len(stream):
-            heapreplace(heap, (stream[cursor], tenant, kind, cursor))
+            heapreplace(heap, stream[cursor] * width + number)
         else:
             heappop(heap)
     longest = max(len(trace) for trace in traces)

@@ -93,7 +93,11 @@ class TenantView:
         Full custom mapping from local page to content key, overriding
         ``shared_pages`` (e.g. symbolic segment names).  Return a
         ``("shared", ...)``-prefixed tuple — or any key yielded to more
-        than one tenant — to share content.
+        than one tenant — to share content.  It must be a pure function
+        of the page: the view resolves each page once and caches its
+        key until the view is discarded (every rule in the package —
+        :func:`default_share_key`, a fork's re-keying,
+        ``segment_share_key`` — is pure).
 
     >>> pool = SharedFramePool(8)
     >>> parent = TenantView(pool, "parent", shared_pages=4)
@@ -121,10 +125,12 @@ class TenantView:
         self.quota = quota if quota is not None else pool.frame_count
         self.shared_pages = shared_pages
         self._share_key = share_key or default_share_key(tenant, shared_pages)
-        self._frame_of: dict[Hashable, int] = {}      # local page -> frame
-        self._key_of: dict[Hashable, Hashable] = {}   # local page -> key
-        self._page_of_key: dict[Hashable, Hashable] = {}
-        self._broken: dict[Hashable, Hashable] = {}   # CoW overrides
+        self._frame_of: dict[Hashable, int] = {}      # resident page -> frame
+        # Every page's content key from its first resolution on, resident
+        # or not; a CoW break overwrites the entry with the private key.
+        # At most one entry per distinct page the view ever touched.
+        self._keys: dict[Hashable, Hashable] = {}
+        self._page_of_key: dict[Hashable, Hashable] = {}  # key -> page
         self._cow_serial = 0
         self.stats = TenantStats()
         pool.register_view(self)
@@ -138,10 +144,10 @@ class TenantView:
         resolves to its private copy forever — even across eviction and
         refault — so a write is never silently shared back.
         """
-        broken = self._broken.get(page)
-        if broken is not None:
-            return broken
-        return self._share_key(page)
+        key = self._keys.get(page)
+        if key is None:
+            key = self._keys[page] = self._share_key(page)
+        return key
 
     def is_shared_key(self, key: Hashable) -> bool:
         """Whether ``key`` names content common to multiple tenants."""
@@ -171,16 +177,20 @@ class TenantView:
 
     def acquire_detail(self, page: Hashable) -> tuple[int, str | None]:
         """Acquire with the hit kind: ``"share"``, ``"dedup"`` or None."""
-        if page in self._frame_of:
+        frame_of = self._frame_of
+        if page in frame_of:
             raise ValueError(
                 f"page {page!r} is already resident for tenant {self.tenant}"
             )
-        if self.is_full():
+        if len(frame_of) >= self.quota:
             raise ValueError(
                 f"tenant {self.tenant} is at its quota of {self.quota}"
             )
-        key = self.key_for(page)
-        if key in self._page_of_key:
+        key = self._keys.get(page)
+        if key is None:
+            key = self._keys[page] = self._share_key(page)
+        page_of_key = self._page_of_key
+        if key in page_of_key:
             # A custom share_key mapped two distinct local pages to one
             # content key.  Before this guard the second acquire would
             # silently overwrite ``_page_of_key[key]``, after which the
@@ -189,18 +199,18 @@ class TenantView:
             # way to tell).  Within one view, page→key must be 1:1.
             raise ValueError(
                 f"content key {key!r} is already mapped by local page "
-                f"{self._page_of_key[key]!r} in tenant {self.tenant}; "
+                f"{page_of_key[key]!r} in tenant {self.tenant}; "
                 f"a share_key must map each tenant page to a distinct key"
             )
         frame, hit = self.pool.acquire(key, program=self.tenant)
-        self._frame_of[page] = frame
-        self._key_of[page] = key
-        self._page_of_key[key] = page
-        self.stats.acquires += 1
+        frame_of[page] = frame
+        page_of_key[key] = page
+        stats = self.stats
+        stats.acquires += 1
         if hit == "share":
-            self.stats.shares += 1
+            stats.shares += 1
         elif hit == "dedup":
-            self.stats.dedup_hits += 1
+            stats.dedup_hits += 1
         return frame, hit
 
     def release(self, page: Hashable) -> int:
@@ -211,7 +221,7 @@ class TenantView:
             raise KeyError(
                 f"page {page!r} is not resident for tenant {self.tenant}"
             ) from None
-        key = self._key_of.pop(page)
+        key = self._keys[page]
         del self._page_of_key[key]
         self.pool.release(key)
         self.stats.releases += 1
@@ -261,16 +271,15 @@ class TenantView:
             raise KeyError(
                 f"page {page!r} is not resident for tenant {self.tenant}"
             )
-        key = self._key_of[page]
+        key = self._keys[page]
         if not self.is_shared_key(key):
             return None
         self._cow_serial += 1
         private = (self.tenant, "cow", page, self._cow_serial)
         frame = self.pool.cow_break(key, private, program=self.tenant)
-        self._broken[page] = private
+        self._keys[page] = private
         self._frame_of[page] = frame
         del self._page_of_key[key]
-        self._key_of[page] = private
         self._page_of_key[private] = page
         self.stats.cow_breaks += 1
         return frame
@@ -300,21 +309,25 @@ class TenantView:
 
     def check_invariants(self) -> None:
         """Raise AssertionError if this view disagrees with its pool."""
-        assert len(self._frame_of) == len(self._key_of) == len(self._page_of_key), (
+        assert len(self._frame_of) == len(self._page_of_key), (
             "view maps out of step"
         )
         assert len(self._frame_of) <= self.quota, (
             f"tenant {self.tenant} over quota: "
             f"{len(self._frame_of)} > {self.quota}"
         )
-        for page, key in self._key_of.items():
-            assert self._page_of_key[key] == page, (
-                f"key {key!r} reverse-maps to {self._page_of_key[key]!r}, "
-                f"not {page!r}"
+        for page, view_frame in self._frame_of.items():
+            assert page in self._keys, (
+                f"resident page {page!r} has no cached content key"
+            )
+            key = self._keys[page]
+            assert self._page_of_key.get(key) == page, (
+                f"key {key!r} reverse-maps to "
+                f"{self._page_of_key.get(key)!r}, not {page!r}"
             )
             frame = self.pool.frame_of(key)
-            assert frame == self._frame_of[page], (
-                f"page {page!r}: view says frame {self._frame_of[page]}, "
+            assert frame == view_frame, (
+                f"page {page!r}: view says frame {view_frame}, "
                 f"pool says {frame}"
             )
             assert self.pool.ref_count(key) > 0, (

@@ -164,8 +164,9 @@ def build_points(
     (``pool_frames``, ``horizon``, ``watermark``, ...).
 
     Raises ``ValueError`` for anything that would fail every point in
-    its worker: an unknown axis value, a non-positive ``pool_frames``,
-    ``horizon`` or load, or a replacement policy that sessions cannot
+    its worker: an unknown axis value, a non-positive ``horizon`` or
+    load, sizing a session or the admission controller cannot run (see
+    :func:`_check_sizing`), or a replacement policy that sessions cannot
     build (an unknown name, or ``opt``, which needs the trace).
     """
     if arrivals not in ARRIVAL_PROCESSES:
@@ -181,9 +182,7 @@ def build_points(
     if unknown:
         raise ValueError(f"unknown sizing overrides: {sorted(unknown)}")
     sizing.update(overrides)
-    for key in ("pool_frames", "horizon"):
-        if sizing[key] <= 0:
-            raise ValueError(f"{key} must be positive, got {sizing[key]}")
+    _check_sizing(sizing, synthetic=trace_file is None)
     try:
         make_policy(replacement)   # sessions build theirs the same way
     except TypeError:
@@ -235,6 +234,51 @@ def build_points(
             spec["point"] = point_id(spec)
             points.append(spec)
     return points
+
+
+def _check_sizing(sizing: dict, synthetic: bool) -> None:
+    """Raise ``ValueError`` naming the first sizing field every point
+    would fail on.
+
+    Counts are integers: frames, pages, quotas and references per tick
+    index things, and ``fetch_time`` is whole device cycles, which keeps
+    every wait an integer.  ``pages`` matters only to ``synthetic``
+    (generated, not file-backed) traces.  The admission controller
+    checks ``watermark`` and ``overcommit`` itself.
+    """
+
+    def require(field: str, ok: bool, rule: str) -> None:
+        if not ok:
+            raise ValueError(f"{field} must be {rule}, got {sizing[field]!r}")
+
+    def integer(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    def count(field: str, least: int, rule: str) -> None:
+        require(field, integer(sizing[field]), "an integer")
+        require(field, sizing[field] >= least, rule)
+
+    count("pool_frames", 1, "positive")
+    require("horizon", sizing["horizon"] > 0, "positive")
+    count("refs_per_tick", 1, "positive")
+    quotas = sizing["quotas"]
+    require("quotas", len(quotas) > 0 and all(
+        integer(quota) and quota > 0 for quota in quotas
+    ), "a non-empty sequence of positive integers")
+    # Sessions draw their lengths from max(8, L // 2) to 3L // 2.
+    count("session_length", 6, "at least 6")
+    count("fetch_time", 0, "non-negative")
+    if synthetic:
+        # A generated session's working set is at least two pages.
+        count("pages", 2, "at least 2")
+    count("shared_pages", 0, "non-negative")
+    require("write_fraction", 0.0 <= sizing["write_fraction"] <= 1.0,
+            "in [0, 1]")
+    AdmissionController(
+        sizing["pool_frames"],
+        watermark=sizing["watermark"],
+        overcommit=sizing["overcommit"],
+    )
 
 
 def generate_sessions(spec: dict) -> list[SessionSpec]:
@@ -314,6 +358,7 @@ def simulate_traffic(
     replacement = spec["replacement"]
 
     result = TrafficPointResult()
+    waits: dict[int, int] = {}   # every session's fetch waits: wait -> count
     pending = deque(generate_sessions(spec))
     result.arrivals = len(pending)
     queue: list[SessionSpec] = []
@@ -350,6 +395,7 @@ def simulate_traffic(
                     session = session_spec.materialize(pool, replacement)
                     session.admitted_at = tick
                     session.audit = audit
+                    session.waits = waits
                     result.materialized += 1
                     result.admitted += 1
                     result.queue_wait.observe(tick - session_spec.arrival)
@@ -410,6 +456,10 @@ def simulate_traffic(
     result.shares = stats.shares
     result.dedup_hits = stats.dedup_hits
     result.cow_breaks = stats.cow_breaks
+    # Waits are whole cycles, so folding the tally is bit-identical to
+    # observing each fetch's wait as it happened.
+    for wait, count in waits.items():
+        result.fault_wait.observe_repeated(wait, count)
     _record_telemetry(telemetry, result)
     return result
 
@@ -429,9 +479,13 @@ def _serve_tick(
     The session's resident dict answers every residency question.  A
     hit on an LRU session moves its page to the end of the dict, a hit
     on a FIFO session moves nothing, and any other policy hears
-    ``on_access``; :func:`_evict` names victims the same way.  Only
-    faults, evictions and writes reach the view, and through it the
-    pool.
+    ``on_access``; :func:`_evict` names victims the same way.  A fault
+    on a full LRU or FIFO view evicts the dict's first key here: the
+    faulting page is not resident, so that is the victim :func:`_evict`
+    would pick.  Only faults, evictions and writes reach the view, and
+    through it the pool.  Each hard fetch's wait is counted in
+    ``session.waits`` (wait -> count), which the engine folds into
+    ``result.fault_wait``.
     """
     view = session.view
     resident = session.resident
@@ -467,7 +521,13 @@ def _serve_tick(
         if audit is not None:
             audit()
         if len(resident) >= quota:
-            _evict(session, page, position, result)
+            if policy is None:
+                victim = next(iter(resident))
+                view.release(victim)
+                del resident[victim]
+                result.evictions += 1
+            else:
+                _evict(session, page, position, result)
         try:
             detail = view.acquire_detail(page)
         except OutOfMemory:
@@ -490,7 +550,9 @@ def _serve_tick(
             begin = max(now, device_free_at)
             done_at = begin + fetch_time
             device_free_at = done_at
-            result.fault_wait.observe(done_at - now)
+            tally = session.waits
+            wait = done_at - now
+            tally[wait] = tally.get(wait, 0) + 1
             result.fetches += 1
             session.fetches += 1
             session.blocked_until = -(-done_at // refs_per_tick)

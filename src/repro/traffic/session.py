@@ -108,8 +108,8 @@ class ActiveSession:
     """A materialized session making progress over the shared pool."""
 
     __slots__ = ("spec", "view", "policy", "trace", "writes", "resident",
-                 "kernel", "recency", "audit", "position", "admitted_at",
-                 "blocked_until", "faults", "fetches")
+                 "kernel", "recency", "audit", "waits", "position",
+                 "admitted_at", "blocked_until", "faults", "fetches")
 
     def __init__(self, spec: SessionSpec, view: TenantView, policy,
                  trace: list[int], writes: list[bool]) -> None:
@@ -128,6 +128,10 @@ class ActiveSession:
         """A hit moves its page to the end of the dict (LRU)."""
         self.audit = None
         """Checked mode's hook, called before each fault and write hit."""
+        self.waits: dict[int, int] = {}
+        """Hard-fetch waits in cycles, as ``{wait: count}``.  The engine
+        points every session of a point at one tally and folds it into
+        ``TrafficPointResult.fault_wait`` when the point ends."""
         self.position = 0
         self.admitted_at = -1
         self.blocked_until = 0

@@ -305,16 +305,22 @@ class TestColumnarDispatchGuards:
 
 
 def test_list_replays_never_import_numpy():
-    """numpy loads on the first column-backed replay, never before."""
+    """numpy loads on the first column-backed replay long enough for the
+    columnar tier, never before: not for list traces, not for a
+    ``Trace`` under ``MIN_COLUMNAR_REFS``, and not in a sweep shard."""
     # A fresh interpreter: this test process may hold numpy already.
     script = textwrap.dedent("""
         import sys
         import repro.fastpath.replay
         import repro.serve
+        from repro.paging import simulate_trace
         from repro.paging.replacement import make_policy
         from repro.serve import (
             seeded_writes, simulate_shared, tenant_traces,
         )
+        from repro.sweep.grid import quick_grid
+        from repro.sweep.shard import run_shard
+        from repro.workload import phased_trace
 
         traces, shared = tenant_traces(3, pages=64, length=6000, seed=1)
         writes = [seeded_writes(len(trace), seed=index)
@@ -322,6 +328,11 @@ def test_list_replays_never_import_numpy():
         for name in ("lru", "fifo", "clock"):
             simulate_shared(traces, 8, lambda _index: make_policy(name),
                             shared_pages=shared, writes=writes)
+        trace = phased_trace(pages=64, length=3000, working_set=8, seed=1)
+        for name in ("lru", "fifo", "clock"):
+            simulate_trace(trace, 8, make_policy(name))
+        record = run_shard(next(quick_grid().shards()).spec())
+        assert "error" not in record, record
         assert "numpy" not in sys.modules, "numpy was imported"
     """)
     src = str(Path(columnar_module.__file__).parents[2])

@@ -162,18 +162,24 @@ def policy_factory(name, traces):
 
 
 def oracle_case(seed):
-    """A seeded configuration: degree 1-4, uneven lengths, any policy."""
+    """A seeded configuration: degree 1-4, uneven lengths, any policy.
+
+    Odd seeds keep ``phased_trace``'s array-backed ``Trace``, so the
+    replay reads their pages through ``replay_view()``; even seeds
+    replay plain lists.
+    """
     rng = random.Random(f"serve-oracle:{seed}")
     tenants = 1 + seed % 4
     pages = rng.randint(8, 40)
     traces = []
     for _ in range(tenants):
         length = rng.randint(0, 400)
-        traces.append(list(phased_trace(
+        trace = phased_trace(
             pages=pages, length=length, working_set=rng.randint(2, 8),
             phase_length=rng.randint(10, 80),
             locality=0.6 + 0.35 * rng.random(), seed=rng.randrange(1 << 30),
-        )) if length else [])
+        ) if length else []
+        traces.append(trace if seed % 2 else list(trace))
     fraction = rng.choice((None, 0.1, 0.3))
     writes = None if fraction is None else [
         seeded_writes(len(trace), fraction=fraction,
@@ -233,7 +239,7 @@ def test_event_driven_replay_matches_the_per_reference_loop(seed):
 def test_oracle_cases_reach_every_pool_event():
     """The seeded cases exercise what the differential must cover."""
     seen = {"shares": 0, "dedup_hits": 0, "cow_breaks": 0, "evictions": 0}
-    degrees, policies = set(), set()
+    degrees, policies, kinds = set(), set(), set()
     for seed in SEEDS:
         case = oracle_case(seed)
         result = simulate_shared(**case)
@@ -241,9 +247,12 @@ def test_oracle_cases_reach_every_pool_event():
             seen[name] += getattr(result, name)
         degrees.add(result.sharing)
         policies.add(result.tenants[0].policy)
+        kinds.update(type(trace).__name__ for trace in case["traces"]
+                     if len(trace))
     assert all(seen.values()), seen
     assert degrees == {1, 2, 3, 4}
     assert len(policies) == len(POLICIES)
+    assert kinds == {"list", "Trace"}
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -189,7 +189,6 @@ class TestCorruptionsAreDetected:
     def test_view_holding_unreferenced_page(self):
         pool, a, b = self.healthy()
         b._frame_of[1] = 0                 # resurrect the released page
-        b._key_of[1] = b.key_for(1)
         b._page_of_key[b.key_for(1)] = 1
         self.expect_violation(pool)
 

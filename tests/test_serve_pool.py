@@ -87,6 +87,19 @@ class TestReleaseAndReclaim:
         assert pool.is_cached("new")
         assert pool.stats.reclaims == 1
 
+    def test_reclaim_reuses_the_frame_in_place(self):
+        pool = SharedFramePool(2)
+        old, _ = pool.acquire("old")
+        pool.acquire("new")
+        pool.release("old")                # parked at the pool's op 3
+        assert pool._evictor.freed_at("old") == 3
+        frame, hit = pool.acquire("third")
+        assert (frame, hit) == (old, None)
+        assert pool.owner(frame) == "third"
+        assert pool.frame_of("old") is None
+        assert (pool.resident_count, pool.cached_count) == (2, 0)
+        pool.check_invariants()
+
     def test_forget_drops_the_cache_entry(self):
         pool = SharedFramePool(2)
         pool.acquire("stale")

@@ -54,6 +54,29 @@ class TestBuildPoints:
         with pytest.raises(ValueError, match="offered"):
             build_points(loads=(0.0,))
 
+    @pytest.mark.parametrize("field, value", [
+        ("refs_per_tick", 0), ("refs_per_tick", -4), ("refs_per_tick", 2.5),
+        ("quotas", ()), ("quotas", (0,)), ("quotas", (2.5,)),
+        ("pool_frames", 2.5),
+        ("session_length", 0), ("session_length", -5),
+        ("session_length", 5),
+        ("fetch_time", -1), ("fetch_time", 1.5),
+        ("pages", 0), ("pages", 1), ("shared_pages", -1),
+        ("watermark", -0.1), ("watermark", 1.5),
+        ("overcommit", 0), ("overcommit", 0.5),
+        ("write_fraction", 1.5),
+    ])
+    def test_sizing_that_fails_every_point_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            build_points(**{field: value})
+
+    def test_smallest_accepted_sizing_runs(self):
+        """The bounds are tight: one step inside each, points complete."""
+        for sizing in (dict(session_length=6), dict(pages=2),
+                       dict(fetch_time=0)):
+            result = simulate_traffic(tiny_point(**sizing))
+            assert result.completed == result.admitted > 0, sizing
+
 
 class TestSessionGeneration:
     def test_stream_is_a_pure_function_of_the_spec(self):
