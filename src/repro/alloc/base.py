@@ -8,6 +8,7 @@ swap strategies over identical request streams.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -97,6 +98,27 @@ class AllocatorCounters:
         self.words_freed += size
 
 
+def check_request_size(size: int) -> None:
+    """Reject a request size no word-addressed allocator can place.
+
+    Called first in every ``allocate``, before any state changes.  A
+    size must be an int (anything ``operator.index`` accepts) other
+    than a ``bool``, raising ``TypeError``, and positive, raising
+    ``ValueError``.
+    """
+    if type(size) is not int:
+        if isinstance(size, bool):
+            raise TypeError(f"allocation size must be an int, got {size!r}")
+        try:
+            operator.index(size)
+        except TypeError:
+            raise TypeError(
+                f"allocation size must be an int, got {size!r}"
+            ) from None
+    if size <= 0:
+        raise ValueError(f"allocation size must be positive, got {size}")
+
+
 def check_free_known(
     allocation: Allocation, live: dict[int, Allocation], kind: str
 ) -> None:
@@ -134,5 +156,6 @@ __all__ = [
     "InvalidFree",
     "OutOfMemory",
     "check_free_known",
+    "check_request_size",
     "coalesce",
 ]

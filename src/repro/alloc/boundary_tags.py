@@ -15,7 +15,12 @@ word.
 
 from __future__ import annotations
 
-from repro.alloc.base import Allocation, AllocatorCounters, check_free_known
+from repro.alloc.base import (
+    Allocation,
+    AllocatorCounters,
+    check_free_known,
+    check_request_size,
+)
 from repro.errors import OutOfMemory
 
 _TAG_WORDS = 2   # one size tag at each end of every block
@@ -96,8 +101,7 @@ class BoundaryTagAllocator:
     # -- allocate -------------------------------------------------------------
 
     def allocate(self, size: int) -> Allocation:
-        if size <= 0:
-            raise ValueError(f"allocation size must be positive, got {size}")
+        check_request_size(size)
         gross = size + _TAG_WORDS
         self.counters.record_request(gross)
         block = self._find(gross)

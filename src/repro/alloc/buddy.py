@@ -14,7 +14,12 @@ with its buddy (address XOR size) whenever the buddy is wholly free.
 
 from __future__ import annotations
 
-from repro.alloc.base import Allocation, AllocatorCounters, check_free_known
+from repro.alloc.base import (
+    Allocation,
+    AllocatorCounters,
+    check_free_known,
+    check_request_size,
+)
 from repro.errors import InvalidFree, OutOfMemory
 from repro.observe.events import Free, Place
 from repro.observe.tracer import Tracer, as_tracer
@@ -76,8 +81,7 @@ class BuddyAllocator:
         return rounded.bit_length() - 1
 
     def allocate(self, size: int) -> Allocation:
-        if size <= 0:
-            raise ValueError(f"allocation size must be positive, got {size}")
+        check_request_size(size)
         if size > self.capacity:
             self.counters.record_request(size)
             self.counters.record_failure(size)

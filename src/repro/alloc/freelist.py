@@ -23,12 +23,23 @@ which is what the CL-PLACE experiments measure.
 
 from __future__ import annotations
 
-from repro.alloc.base import Allocation, AllocatorCounters, check_free_known
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+
+from repro.alloc.base import (
+    Allocation,
+    AllocatorCounters,
+    check_free_known,
+    check_request_size,
+)
 from repro.errors import OutOfMemory
 from repro.observe.events import Free, Place
 from repro.observe.tracer import Tracer, as_tracer
 
 _POLICIES = ("first_fit", "best_fit", "worst_fit", "next_fit")
+
+#: A hole's sort key in the address-ordered free list.
+_ADDRESS = itemgetter(0)
 
 
 class FreeListAllocator:
@@ -95,43 +106,57 @@ class FreeListAllocator:
     # -- placement -------------------------------------------------------
 
     def _choose_hole(self, size: int) -> int | None:
-        """Return the index of the hole to allocate from, or None."""
-        if self.policy == "first_fit":
-            for index, (_, hole_size) in enumerate(self._holes):
-                self.counters.search_steps += 1
+        """Return the index of the hole to allocate from, or None.
+
+        ``search_steps`` grows once per request by the holes the policy
+        examines, the same total as counting each hole as it is looked
+        at.  First fit adds the holes up to and including the one it
+        takes, next fit the holes from its rover to that one, and both
+        add every hole they scanned when none fits.  Best fit and worst
+        fit examine every hole, the paper's bookkeeping cost, so they
+        add ``len(holes)`` up front and then scan with plain
+        comparisons; best fit may stop at an exact fit, since no later
+        hole can be smaller.  Ties go to the first sufficient hole in
+        scan order.
+        """
+        holes = self._holes
+        policy = self.policy
+        if policy == "first_fit":
+            for index, (_, hole_size) in enumerate(holes):
                 if hole_size >= size:
+                    self.counters.search_steps += index + 1
                     return index
+            self.counters.search_steps += len(holes)
             return None
-        if self.policy == "next_fit":
-            count = len(self._holes)
+        if policy == "next_fit":
+            count = len(holes)
             if count == 0:
                 return None
             start = self._rover % count
             for step in range(count):
                 index = (start + step) % count
-                self.counters.search_steps += 1
-                if self._holes[index][1] >= size:
+                if holes[index][1] >= size:
+                    self.counters.search_steps += step + 1
                     return index
+            self.counters.search_steps += count
             return None
         # best_fit / worst_fit examine every hole.
-        chosen: int | None = None
-        chosen_size = None
-        for index, (_, hole_size) in enumerate(self._holes):
-            self.counters.search_steps += 1
-            if hole_size < size:
-                continue
-            better = (
-                chosen is None
-                or (self.policy == "best_fit" and hole_size < chosen_size)
-                or (self.policy == "worst_fit" and hole_size > chosen_size)
-            )
-            if better:
+        self.counters.search_steps += len(holes)
+        chosen = chosen_size = None
+        if policy == "best_fit":
+            for index, (_, hole_size) in enumerate(holes):
+                if hole_size >= size and (chosen is None or hole_size < chosen_size):
+                    chosen, chosen_size = index, hole_size
+                    if hole_size == size:
+                        break
+            return chosen
+        for index, (_, hole_size) in enumerate(holes):
+            if hole_size >= size and (chosen is None or hole_size > chosen_size):
                 chosen, chosen_size = index, hole_size
         return chosen
 
     def allocate(self, size: int) -> Allocation:
-        if size <= 0:
-            raise ValueError(f"allocation size must be positive, got {size}")
+        check_request_size(size)
         self.counters.record_request(size)
         index = self._choose_hole(size)
         if index is None:
@@ -198,14 +223,7 @@ class FreeListAllocator:
         rover_address = None
         if self.policy == "next_fit" and 0 <= self._rover < len(self._holes):
             rover_address = self._holes[self._rover][0]
-        lo, hi = 0, len(self._holes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._holes[mid][0] < address:
-                lo = mid + 1
-            else:
-                hi = mid
-        index = lo
+        index = bisect_left(self._holes, address, key=_ADDRESS)
         # Coalesce with the predecessor?
         if index > 0:
             prev_address, prev_size = self._holes[index - 1]
@@ -230,14 +248,7 @@ class FreeListAllocator:
         # Rightmost hole starting at or below the remembered address: a
         # coalesce can only have merged the rover's hole into one that
         # starts no later than it did.
-        lo, hi = 0, len(self._holes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._holes[mid][0] <= rover_address:
-                lo = mid + 1
-            else:
-                hi = mid
-        return max(0, lo - 1)
+        return max(0, bisect_right(self._holes, rover_address, key=_ADDRESS) - 1)
 
     # -- bulk state rebuild (compaction) ----------------------------------
 

@@ -27,7 +27,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.alloc.base import Allocation, AllocatorCounters, check_free_known
+from repro.alloc.base import (
+    Allocation,
+    AllocatorCounters,
+    check_free_known,
+    check_request_size,
+)
 from repro.errors import OutOfMemory
 from repro.observe.events import Free, Place
 from repro.observe.tracer import Tracer, as_tracer
@@ -90,8 +95,7 @@ class RiceAllocator:
         overhead; its usable extent starts ``back_reference_words`` past
         ``address``.
         """
-        if size <= 0:
-            raise ValueError(f"allocation size must be positive, got {size}")
+        check_request_size(size)
         gross = self._gross(size)
         self.counters.record_request(gross)
         address = self._take(gross)

@@ -14,7 +14,13 @@ bump pointers retreat when the block adjacent to them is freed.
 
 from __future__ import annotations
 
-from repro.alloc.base import Allocation, AllocatorCounters, check_free_known, coalesce
+from repro.alloc.base import (
+    Allocation,
+    AllocatorCounters,
+    check_free_known,
+    check_request_size,
+    coalesce,
+)
 from repro.errors import OutOfMemory
 from repro.observe.events import Free, Place
 from repro.observe.tracer import Tracer, as_tracer
@@ -65,8 +71,7 @@ class TwoEndsAllocator:
         return size >= self.size_threshold
 
     def allocate(self, size: int) -> Allocation:
-        if size <= 0:
-            raise ValueError(f"allocation size must be positive, got {size}")
+        check_request_size(size)
         self.counters.record_request(size)
         address = self._take_from_reuse(size)
         if address is None:

@@ -23,6 +23,7 @@ tests (``tests/test_telemetry_sketch.py``,
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable
 
 #: Default linear sub-buckets per power-of-two octave.  The quantile
@@ -104,17 +105,24 @@ class LogHistogram:
     def observe_repeated(self, value: float, count: int) -> None:
         """Record ``count`` copies of ``value`` — one fold of a tally.
 
-        For an integer value this leaves the sketch bit-identical to
-        ``count`` calls of :meth:`observe`; a float's sum may differ from
-        repeated addition in the last bits.  Raises on a negative value
-        and on a count that is not a positive int.
+        Leaves the sketch bit-identical to ``count`` calls of
+        :meth:`observe`.  An integer value on an integer sum adds
+        ``value * count`` in one step, which is exact; otherwise the
+        value is added to the sum ``count`` times, because float
+        addition rounds at every step and one product would round
+        differently.  Raises on a negative value and on a count that is
+        not a positive int.
         """
         if value < 0:
             raise ValueError(f"cannot sketch negative value {value!r}")
         if not _is_int(count) or count <= 0:
             raise ValueError(f"count must be a positive int, got {count!r}")
         self._count += count
-        self._sum += value * count
+        if type(self._sum) is int and type(value) is int:
+            self._sum += value * count
+        else:
+            for _ in range(count):
+                self._sum += value
         if self._min is None or value < self._min:
             self._min = value
         if self._max is None or value > self._max:
@@ -126,6 +134,25 @@ class LogHistogram:
         self._counts[index] = self._counts.get(index, 0) + count
 
     def observe_many(self, values: Iterable[float]) -> None:
+        """Record every sample of ``values``, in order.
+
+        Bit-identical to one :meth:`observe` per sample.  When the sum
+        is an exact int and every sample is an exact ``int`` ≥ 0, the
+        batch is counted first and each distinct value is recorded once
+        by :meth:`observe_repeated`: integer addition is exact and
+        associative, min, max and bucket counts do not depend on order,
+        so only the insertion order of the bucket dict differs, and
+        every reader sorts or sums it.  Any other batch — floats,
+        ``bool`` or other int subclasses, a negative sample — runs the
+        per-sample loop, so a negative value raises after the samples
+        before it are recorded, exactly as :meth:`observe` would.
+        """
+        values = list(values)
+        if (type(self._sum) is int and set(map(type, values)) <= {int}
+                and min(values, default=0) >= 0):
+            for value, count in Counter(values).items():
+                self.observe_repeated(value, count)
+            return
         for value in values:
             self.observe(value)
 

@@ -213,7 +213,6 @@ def _churn(spec: dict, config, counters: Counters,
         if action == "allocate":
             ops += 1
             sizes.append(request.size)
-            size_sketch.observe(request.size)
             try:
                 live[id(request)] = allocator.allocate(request.size)
             except OutOfMemory:
@@ -229,6 +228,8 @@ def _churn(spec: dict, config, counters: Counters,
             suite.check(allocator)
     if suite is not None:
         suite.check(allocator)
+    # Every size is a whole word count, so one batch folds as a tally.
+    size_sketch.observe_many(sizes)
     absorb_allocator_counters(counters, allocator.counters)
     wasted, reserved = paging_internal_waste(sizes, config.page_size)
     return {

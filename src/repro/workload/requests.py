@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 
@@ -83,11 +84,16 @@ def exponential_requests(
     The regime where "the average allocation request involves an amount
     of storage that is quite small compared with the extent of physical
     storage" and accepting fragmentation "is often quite reasonable".
-    Pass ``rng`` to draw from a shared generator (it takes precedence
-    over ``seed``).
+    ``max_size``, when given, caps every size and must be a positive
+    int.  Pass ``rng`` to draw from a shared generator (it takes
+    precedence over ``seed``).
     """
     if count <= 0 or mean_size <= 0 or mean_lifetime <= 0 or interarrival <= 0:
         raise ValueError("count, mean_size, mean_lifetime, interarrival must be positive")
+    if max_size is not None and (
+        isinstance(max_size, bool) or not isinstance(max_size, int) or max_size <= 0
+    ):
+        raise ValueError(f"max_size must be a positive int, got {max_size!r}")
     rng = rng if rng is not None else random.Random(seed)
     requests = []
     for index in range(count):
@@ -117,5 +123,6 @@ def request_schedule(
     for request in requests:
         events.append((request.arrival, 1, "allocate", request))
         events.append((request.departure, 0, "free", request))
-    for time, _, action, request in sorted(events, key=lambda e: (e[0], e[1])):
+    events.sort(key=itemgetter(0, 1))
+    for time, _, action, request in events:
         yield time, action, request

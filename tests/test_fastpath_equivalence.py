@@ -224,6 +224,7 @@ class TestAllocatorEquivalence:
             assert allocator.holes() == model.holes(), where
         allocator.check_invariants()
         assert allocator.counters.failures == failures
+        assert allocator.counters.search_steps == model.search_steps
 
     @pytest.mark.parametrize("policy", MODEL_POLICIES)
     def test_exhaustion_and_reuse(self, policy):

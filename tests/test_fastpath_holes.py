@@ -4,6 +4,8 @@ The free list keeps its holes in one address-sorted list.  These cases
 pin that list's rules: coalescing on free, splitting on allocate, each
 placement rule's choice and tie-break, the ``search_steps`` count each
 request adds, the wholesale rebuild, and the invariant check.  The
+chooser itself is diffed against the per-hole chooser it replaced,
+kept in ``tests/alloc_reference.py``.  The
 module keeps the name of the size-class hole index it used to test.
 ``test_alloc_freelist`` covers the allocator's public contract; the
 churn test here compares the holes with the brute-force model in
@@ -18,7 +20,7 @@ import pytest
 
 from repro.alloc import Allocation, FreeListAllocator
 from repro.errors import OutOfMemory
-from tests.alloc_reference import RULES, ReferenceFreeList
+from tests.alloc_reference import RULES, ReferenceFreeList, per_hole_choose_hole
 
 POLICIES = ("first_fit", "best_fit", "worst_fit", "next_fit")
 
@@ -181,3 +183,63 @@ class TestMaintenance:
                         live.append(block)
                 allocator.check_invariants()
                 assert allocator.holes() == model.holes(), f"{policy} step {step}"
+
+
+def random_holes(rng: random.Random) -> list[tuple[int, int]]:
+    """0–120 address-sorted holes, with sizes drawn from a small pool
+    so that equal sizes, and so ties, are common."""
+    pool = [rng.randint(1, 40) for _ in range(rng.randint(1, 12))]
+    holes = []
+    address = rng.randint(0, 5)
+    for _ in range(rng.randint(0, 120)):
+        size = rng.choice(pool) if rng.random() < 0.7 else rng.randint(1, 300)
+        holes.append((address, size))
+        address += size + rng.randint(1, 30)
+    return holes
+
+
+def probe_sizes(rng: random.Random, holes: list[tuple[int, int]]) -> list[int]:
+    """Sizes that fit one hole exactly, fit several tied holes, fit
+    none, or fall anywhere in between."""
+    sizes = [hole_size for _, hole_size in holes]
+    largest = max(sizes, default=0)
+    probes = [largest + 1, largest + rng.randint(2, 50), 1]
+    for _ in range(6):
+        probes.append(rng.randint(1, largest + 5))
+    if sizes:
+        probes.append(rng.choice(sizes))        # an exact fit
+        probes.append(largest)                  # the largest, maybe tied
+        tied = [size for size in set(sizes) if sizes.count(size) > 1]
+        if tied:
+            size = rng.choice(tied)
+            probes += [size, max(1, size - rng.randint(0, 3))]
+    return probes
+
+
+class TestChooseHoleDifferential:
+    """``_choose_hole`` counts its search steps once per request; the
+    per-hole chooser counted one per hole examined.  Both must pick
+    the same hole and add the same steps, on any hole list."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("seed", range(200))
+    def test_same_index_and_search_steps(self, policy, seed):
+        rng = random.Random(f"choose-hole:{policy}:{seed}")
+        holes = random_holes(rng)
+        capacity = holes[-1][0] + holes[-1][1] if holes else 1
+        fast = FreeListAllocator(capacity, policy=policy)
+        oracle = FreeListAllocator(capacity, policy=policy)
+        for allocator in (fast, oracle):
+            allocator.rebuild({}, holes)
+        for size in probe_sizes(rng, holes):
+            rover = rng.randint(0, 2 * len(holes) + 1)
+            fast._rover = oracle._rover = rover
+            before = fast.counters.search_steps
+            oracle_before = oracle.counters.search_steps
+            chosen = fast._choose_hole(size)
+            expected = per_hole_choose_hole(oracle, size)
+            where = f"size={size} rover={rover} holes={len(holes)}"
+            assert chosen == expected, where
+            assert (fast.counters.search_steps - before
+                    == oracle.counters.search_steps - oracle_before), where
+        assert fast.holes() == holes

@@ -139,7 +139,7 @@ class TestLogHistogramMerge:
 class TestLogHistogramTallyFold:
     """``observe_repeated`` folds a ``{value: count}`` tally — the
     traffic engine's fetch waits — bit-identically to one ``observe``
-    per sample, as long as the values are integers."""
+    per sample, on an integer sum or a float one."""
 
     @pytest.mark.parametrize("seed", range(200))
     def test_fold_equals_per_sample_observe(self, seed):
@@ -170,6 +170,93 @@ class TestLogHistogramTallyFold:
         with pytest.raises(ValueError, match="count"):
             sketch.observe_repeated(5, count)
         assert sketch.to_dict() == LogHistogram().to_dict()
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_fold_keeps_a_float_sum_exact(self, seed):
+        """Once a float sample has made the sum a float, each fold adds
+        the value one copy at a time, as ``observe`` would."""
+        rng = random.Random(f"float-sum-fold:{seed}")
+        first = rng.uniform(0, 1000)
+        value, count = rng.randint(0, 10**6), rng.randint(1, 50)
+        observed, folded = LogHistogram(), LogHistogram()
+        observed.observe(first)
+        folded.observe(first)
+        for _ in range(count):
+            observed.observe(value)
+        folded.observe_repeated(value, count)
+        assert folded.to_dict() == observed.to_dict()
+
+
+def assert_same_sketch(left: LogHistogram, right: LogHistogram,
+                       where: str = "") -> None:
+    """Equal in every serialized field, sum type included, and in 101
+    quantiles."""
+    assert left.to_dict() == right.to_dict(), where
+    assert type(left.total) is type(right.total), where
+    assert type(left.minimum) is type(right.minimum), where
+    assert type(left.maximum) is type(right.maximum), where
+    if left.count:
+        for q in [step / 100 for step in range(101)]:
+            assert left.quantile(q) == right.quantile(q), where
+
+
+class TestObserveManyFold:
+    """``observe_many`` folds an integer batch as a tally; every batch
+    must leave the sketch as one ``observe`` per sample would."""
+
+    @staticmethod
+    def observe_each(sketch: LogHistogram, values) -> None:
+        for value in values:
+            sketch.observe(value)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_per_sample_observe(self, seed):
+        rng = random.Random(f"observe-many-fold:{seed}")
+        batch = [rng.choice((0, rng.randint(1, 9), rng.randint(0, 5000),
+                             rng.randint(0, 2**40)))
+                 for _ in range(rng.randint(0, 400))]
+        # Magnitudes up to 2**50 make a float sum round differently when
+        # the same values are added in another order.
+        wide = [rng.choice((rng.randint(1, 9), rng.randint(0, 2**20),
+                            rng.randint(0, 2**50)))
+                for _ in range(rng.randint(1, 300))]
+        prior = [rng.randint(0, 100) for _ in range(rng.randint(0, 5))]
+        float_prior = prior + [rng.uniform(0, 100)]
+        with_bool = batch + [True]
+        rng.shuffle(with_bool)
+        cases = [
+            ("int batch", prior, batch, list),
+            ("wide int batch", prior, wide, list),
+            ("generator", prior, batch, iter),
+            ("float sum", float_prior, wide, list),
+            ("bool among ints", prior, with_bool, list),
+            ("float samples", prior, [value / 4 for value in batch], list),
+        ]
+        for name, before, values, wrap in cases:
+            folded, observed = LogHistogram(), LogHistogram()
+            self.observe_each(folded, before)
+            self.observe_each(observed, before)
+            folded.observe_many(wrap(values))
+            self.observe_each(observed, values)
+            assert_same_sketch(folded, observed, name)
+        # A negative sample mid-batch raises the same error after the
+        # same earlier samples.
+        with_negative = list(batch)
+        with_negative.insert(rng.randint(0, len(batch)),
+                             rng.choice((-rng.randint(1, 50), -0.5)))
+        folded, observed = LogHistogram(), LogHistogram()
+        with pytest.raises(ValueError) as folded_error:
+            folded.observe_many(iter(with_negative))
+        with pytest.raises(ValueError) as observed_error:
+            self.observe_each(observed, with_negative)
+        assert str(folded_error.value) == str(observed_error.value)
+        assert_same_sketch(folded, observed, "negative mid-batch")
+
+    def test_empty_batch_changes_nothing(self):
+        sketch = LogHistogram()
+        sketch.observe_many([])
+        sketch.observe_many(iter(()))
+        assert_same_sketch(sketch, LogHistogram())
 
 
 class TestLogHistogramZeroBoundaries:

@@ -123,6 +123,12 @@ class TestAllocationRequests:
                                         max_size=120, seed=2)
         assert max(r.size for r in requests) <= 120
 
+    @pytest.mark.parametrize("max_size", [0, -5, 2.5, True])
+    def test_exponential_cap_must_be_a_positive_int(self, max_size):
+        with pytest.raises(ValueError, match="max_size"):
+            exponential_requests(10, mean_size=20, mean_lifetime=5,
+                                 max_size=max_size)
+
     def test_seeded(self):
         a = exponential_requests(50, 10, 10, seed=5)
         b = exponential_requests(50, 10, 10, seed=5)
