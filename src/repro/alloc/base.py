@@ -98,23 +98,32 @@ class AllocatorCounters:
         self.words_freed += size
 
 
+def check_int(value: int, name: str) -> None:
+    """Reject a quantity ``name`` that is not a whole count.
+
+    ``value`` must be an int (anything ``operator.index`` accepts)
+    other than a ``bool``; anything else raises ``TypeError``.  The
+    allocators' request sizes, the replay kernels' frame counts and
+    the serving tier's pool, quota and sharing sizes all call it first,
+    before any state changes, and then check their own range.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an int, got {value!r}") from None
+
+
 def check_request_size(size: int) -> None:
     """Reject a request size no word-addressed allocator can place.
 
-    Called first in every ``allocate``, before any state changes.  A
-    size must be an int (anything ``operator.index`` accepts) other
-    than a ``bool``, raising ``TypeError``, and positive, raising
-    ``ValueError``.
+    Called first in every ``allocate``, before any state changes: a
+    size must pass :func:`check_int`, raising ``TypeError``, and be
+    positive, raising ``ValueError``.
     """
-    if type(size) is not int:
-        if isinstance(size, bool):
-            raise TypeError(f"allocation size must be an int, got {size!r}")
-        try:
-            operator.index(size)
-        except TypeError:
-            raise TypeError(
-                f"allocation size must be an int, got {size!r}"
-            ) from None
+    check_int(size, "allocation size")
     if size <= 0:
         raise ValueError(f"allocation size must be positive, got {size}")
 
@@ -156,6 +165,7 @@ __all__ = [
     "InvalidFree",
     "OutOfMemory",
     "check_free_known",
+    "check_int",
     "check_request_size",
     "coalesce",
 ]

@@ -54,7 +54,7 @@ def _inject_violation(report: OracleReport, seed: int) -> None:
     child = parent.fork("child")
     child.acquire(0)
     # Corrupt: a phantom reference the views cannot account for.
-    pool._refs.incr(("shared", 0))
+    pool._refs[("shared", 0)] += 1
 
     suite = InvariantSuite()
     plants = (allocator, pool)

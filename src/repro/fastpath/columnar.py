@@ -71,6 +71,7 @@ import heapq
 import sys
 from typing import Hashable, Sequence
 
+from repro.alloc.base import check_int
 from repro.paging.replacement.base import ReplacementPolicy
 from repro.paging.replacement.belady import BeladyOptimalPolicy
 from repro.paging.replacement.clock import ClockPolicy
@@ -391,9 +392,11 @@ def run_columnar(
     threshold and the abort heuristic (for differential tests).
 
     A ``BeladyOptimalPolicy`` must be validated against the trace by the
-    caller (``run_fast`` does), exactly as for the list kernels.
-    Non-positive ``frames`` raise the reference loop's ``ValueError``.
+    caller (``run_fast`` does), exactly as for the list kernels.  A
+    ``frames`` that is not an int raises the reference loop's
+    ``TypeError``, and a non-positive one its ``ValueError``.
     """
+    check_int(frames, "frames")
     if frames <= 0:
         raise ValueError(f"frames must be positive, got {frames}")
     state_type = _STATE_TYPES.get(type(policy))

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence
 
+from repro.alloc.base import check_int
 from repro.fastpath.columnar import run_columnar
 from repro.paging.replacement.base import ReplacementPolicy
 from repro.paging.replacement.belady import BeladyOptimalPolicy
@@ -333,14 +334,15 @@ def run_fast(
     A Belady policy is only fast-pathed when it is fresh and was built
     for exactly this trace; otherwise the reference loop runs (and
     raises its usual trace-mismatch error), keeping error behaviour
-    identical.  Non-positive ``frames`` raise the reference loop's
-    ``ValueError``.
+    identical.  A ``frames`` that is not an int raises the reference
+    loop's ``TypeError``, and a non-positive one its ``ValueError``.
 
     ``telemetry`` (a :class:`~repro.observe.telemetry.TelemetryRegistry`)
     reaches only the columnar tier, which times its chunk sweeps; the
     list kernels are single tight loops with nothing to bracket, and
     the caller records aggregates from the returned result.
     """
+    check_int(frames, "frames")
     if frames <= 0:
         raise ValueError(f"frames must be positive, got {frames}")
     policy_type = type(policy)

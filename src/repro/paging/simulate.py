@@ -30,6 +30,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
+from repro.alloc.base import check_int
 from repro.observe.counters import Counters, absorb_simulation_result
 from repro.observe.events import Evict, Fault
 from repro.observe.telemetry.registry import TelemetryRegistry
@@ -77,7 +78,8 @@ def simulate_trace(
     trace:
         Page references in order.
     frames:
-        Number of equal page frames available.
+        Number of equal page frames available: a positive int (a
+        ``bool`` or a fraction raises ``TypeError`` on every tier).
     policy:
         A (fresh or reset) replacement policy.  For
         :class:`~repro.paging.replacement.belady.BeladyOptimalPolicy` the
@@ -125,6 +127,7 @@ def simulate_trace(
         bits and never forces a slower tier — the 100-seed differential
         tests pin both properties.
     """
+    check_int(frames, "frames")
     if frames <= 0:
         raise ValueError(f"frames must be positive, got {frames}")
     if writes is not None and len(writes) != len(trace):

@@ -9,7 +9,9 @@ eviction over the freed pool.  ``docs/SERVING.md`` is the written
 contract this package implements; ``examples/shared_tenants.py`` is
 the tour.
 
-Layering: the pool sits *beneath* the existing layers.  A
+Layering: the pool sits *beneath* the existing layers and is the one
+owner of the serving ledger — frames, refcounts and the freed-dedup
+order (:class:`~repro.serve.pool.SharedFramePool`).  A
 :class:`~repro.serve.tenant.TenantView` speaks the
 :class:`~repro.paging.frame.FrameTable` interface, so demand pagers run
 over shared frames unmodified; the shared replay driver runs each
@@ -21,9 +23,7 @@ audits refcount conservation; :mod:`repro.sweep` and the benchmark
 drive the sharing-degree axis.
 """
 
-from repro.serve.evictor import LRUEvictor
 from repro.serve.pool import ServeStats, SharedFramePool
-from repro.serve.refcount import RefCounter
 from repro.serve.replay import (
     SharedReplayResult,
     seeded_writes,
@@ -33,8 +33,6 @@ from repro.serve.replay import (
 from repro.serve.tenant import TenantStats, TenantView, default_share_key
 
 __all__ = [
-    "LRUEvictor",
-    "RefCounter",
     "ServeStats",
     "SharedFramePool",
     "SharedReplayResult",

@@ -44,6 +44,7 @@ from heapq import heapify, heappop, heapreplace
 from itertools import compress
 from typing import Callable, Hashable, Sequence
 
+from repro.alloc.base import check_int
 from repro.fastpath.replay import _as_fast_sequence
 from repro.observe.counters import Counters
 from repro.observe.events import Evict, Fault
@@ -182,6 +183,10 @@ def simulate_shared(
     """
     if not traces:
         raise ValueError("need at least one tenant trace")
+    check_int(frames, "frames")
+    check_int(shared_pages, "shared_pages")
+    if pool_frames is not None:
+        check_int(pool_frames, "pool_frames")
     if frames <= 0:
         raise ValueError(f"frames must be positive, got {frames}")
     if shared_pages < 0:

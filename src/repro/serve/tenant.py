@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+from repro.alloc.base import check_int
 from repro.serve.pool import SharedFramePool
 
 
@@ -116,8 +117,11 @@ class TenantView:
         shared_pages: int = 0,
         share_key: Callable[[int], Hashable] | None = None,
     ) -> None:
-        if quota is not None and quota <= 0:
-            raise ValueError(f"quota must be positive, got {quota}")
+        if quota is not None:
+            check_int(quota, "quota")
+            if quota <= 0:
+                raise ValueError(f"quota must be positive, got {quota}")
+        check_int(shared_pages, "shared_pages")
         if shared_pages < 0:
             raise ValueError(f"shared_pages must be >= 0, got {shared_pages}")
         self.pool = pool

@@ -184,6 +184,27 @@ class TestFastDispatchGuards:
                 columnar, frames, _make_policy(name, columnar), force=True
             )
 
+    @pytest.mark.parametrize("fast", (True, False))
+    @pytest.mark.parametrize("name", FAST_POLICIES)
+    @pytest.mark.parametrize("frames", (2.5, 4.0, True, "4"))
+    def test_non_int_frames_rejected(self, frames, name, fast):
+        # A fractional frame count would replay on the list kernels as
+        # if no frame ever filled, and the reference loop could not
+        # build its frame table: every tier refuses it up front.
+        trace = phased_trace(pages=32, length=2000, working_set=8,
+                             phase_length=100, locality=0.9, seed=1)
+        message = f"frames must be an int, got {frames!r}"
+        with pytest.raises(TypeError, match=message):
+            simulate_trace(trace, frames, _make_policy(name, trace),
+                           fast=fast)
+        if fast:
+            with pytest.raises(TypeError, match=message):
+                run_fast(trace, frames, _make_policy(name, trace))
+            columnar = ColumnarTrace(trace)
+            with pytest.raises(TypeError, match=message):
+                run_columnar(columnar, frames, _make_policy(name, columnar),
+                             force=True)
+
 
 MODEL_POLICIES = tuple(RULES)
 

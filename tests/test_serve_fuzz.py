@@ -5,9 +5,9 @@ Three attack surfaces, all seeded and deterministic:
 - Random multi-tenant walks (acquire / release / write / fork) with
   :class:`~repro.check.invariants.RefCountConservation` run every few
   operations — the conservation law must hold at every reachable state.
-- Deliberate corruptions of every bookkeeping structure (refcounter,
-  evictor, free list, view maps) — each must be *detected*; a checker
-  that never fires proves nothing.
+- Deliberate corruptions of every bookkeeping structure (the pool's
+  refcounts, freed-dedup pool and free list, the view maps) — each
+  must be *detected*; a checker that never fires proves nothing.
 - Fault injection under the pager: with a flaky backing store behind a
   bounded retry loop, a multi-tenant run must finish with stats
   bit-identical to the fault-free run and a clean ledger — transient
@@ -32,12 +32,7 @@ from repro.errors import InvariantViolation, OutOfMemory
 from repro.memory import BackingStore, StorageLevel
 from repro.paging import DemandPager, LruPolicy
 from repro.paging.replacement import make_policy
-from repro.serve import (
-    RefCounter,
-    SharedFramePool,
-    TenantView,
-    simulate_shared,
-)
+from repro.serve import SharedFramePool, TenantView, simulate_shared
 from repro.workload.reference import phased_trace
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -111,7 +106,7 @@ def test_checked_shared_replay_is_clean(seed):
 
 
 @pytest.mark.parametrize("nth", (5, 40, 90))
-def test_checked_shared_replay_catches_a_planted_leak(nth, monkeypatch):
+def test_checked_shared_replay_catches_a_planted_leak(nth, plant_leak):
     """A refcount leak partway through a replay trips the pool audit.
 
     The ``nth`` pin counts twice: the pool then holds a reference no
@@ -127,16 +122,7 @@ def test_checked_shared_replay_catches_a_planted_leak(nth, monkeypatch):
                   policy_factory=lambda _index: make_policy("lru"))
     pins = simulate_shared(**replay).pool_stats.acquires
     assert nth < pins
-    incr = RefCounter.incr
-    calls = {"n": 0}
-
-    def leaky_incr(self, key):
-        calls["n"] += 1
-        if calls["n"] == nth:
-            incr(self, key)
-        return incr(self, key)
-
-    monkeypatch.setattr(RefCounter, "incr", leaky_incr)
+    calls = plant_leak(nth)
     with pytest.raises(InvariantViolation, match="refcount_conservation"):
         simulate_shared(**replay, checked=True)
     assert calls["n"] >= nth
@@ -163,17 +149,17 @@ class TestCorruptionsAreDetected:
 
     def test_phantom_reference(self):
         pool, a, b = self.healthy()
-        pool._refs.incr(("shared", 0))
+        pool._refs[("shared", 0)] += 1
         self.expect_violation(pool, "views hold 2 references")
 
     def test_leaked_reference(self):
         pool, a, b = self.healthy()
-        pool._refs.decr(("shared", 0))
+        pool._refs[("shared", 0)] -= 1
         self.expect_violation(pool, "views hold 2 references")
 
     def test_resident_content_marked_cached(self):
         pool, a, b = self.healthy()
-        pool._evictor.add(("a", 5), pool.frame_of(("a", 5)), freed_at=99)
+        pool._cached[("a", 5)] = pool.frame_of(("a", 5))
         self.expect_violation(pool)
 
     def test_pinned_frame_on_free_list(self):

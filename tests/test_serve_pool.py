@@ -11,7 +11,38 @@ import pytest
 from repro.errors import OutOfMemory
 from repro.observe.sinks import RingBufferSink
 from repro.observe.tracer import Tracer
-from repro.serve import SharedFramePool
+from repro.paging import LruPolicy
+from repro.serve import SharedFramePool, TenantView, simulate_shared
+
+
+class TestSizes:
+    @pytest.mark.parametrize("size", (2.5, 2.0, True, "2"))
+    @pytest.mark.parametrize("name", (
+        "pool-frame_count", "view-quota", "view-shared_pages",
+        "replay-frames", "replay-pool_frames", "replay-shared_pages",
+    ))
+    def test_sizes_must_be_ints(self, name, size):
+        # A fractional quota or sharing bound would act as a real number
+        # (quota=2.5 lets 3 pages be resident), and a bool would build
+        # a one-frame pool: every size is refused up front.
+        pool = SharedFramePool(8)
+        traces = [[0, 1, 2, 3, 2, 1]] * 2
+        build = {
+            "pool-frame_count": lambda: SharedFramePool(size),
+            "view-quota": lambda: TenantView(pool, "t", quota=size),
+            "view-shared_pages": lambda: TenantView(pool, "t",
+                                                    shared_pages=size),
+            "replay-frames": lambda: simulate_shared(
+                traces, size, lambda _index: LruPolicy()),
+            "replay-pool_frames": lambda: simulate_shared(
+                traces, 3, lambda _index: LruPolicy(), pool_frames=size),
+            "replay-shared_pages": lambda: simulate_shared(
+                traces, 3, lambda _index: LruPolicy(), shared_pages=size),
+        }[name]
+        field = name.split("-")[1]
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            build()
+        assert pool.views == ()            # no view joined the ledger
 
 
 class TestAcquire:
@@ -61,7 +92,7 @@ class TestReleaseAndReclaim:
         pool.release("a")
         assert pool.ref_count("a") == 0
         assert pool.is_cached("a")
-        assert not pool.is_resident("a")
+        assert pool.resident_count == 0
         assert pool.cached_keys() == ["a"]
         assert pool.free_count == 3        # the frame is cached, not free
 
@@ -91,8 +122,8 @@ class TestReleaseAndReclaim:
         pool = SharedFramePool(2)
         old, _ = pool.acquire("old")
         pool.acquire("new")
-        pool.release("old")                # parked at the pool's op 3
-        assert pool._evictor.freed_at("old") == 3
+        pool.release("old")                # parked in the freed-dedup pool
+        assert pool.cached_keys() == ["old"]
         frame, hit = pool.acquire("third")
         assert (frame, hit) == (old, None)
         assert pool.owner(frame) == "third"
@@ -100,20 +131,11 @@ class TestReleaseAndReclaim:
         assert (pool.resident_count, pool.cached_count) == (2, 0)
         pool.check_invariants()
 
-    def test_forget_drops_the_cache_entry(self):
-        pool = SharedFramePool(2)
-        pool.acquire("stale")
-        pool.forget("stale")
-        assert not pool.is_cached("stale")
-        assert pool.free_count == 2
-        _, hit = pool.acquire("stale")
-        assert hit is None                 # no revival: the content is gone
-
     def test_exhaustion_raises_out_of_memory(self):
         pool = SharedFramePool(2)
         pool.acquire("a")
         pool.acquire("b")
-        assert pool.is_exhausted()
+        assert pool.free_count == pool.cached_count == 0
         with pytest.raises(OutOfMemory):
             pool.acquire("c")
 
@@ -220,8 +242,24 @@ class TestInvariants:
     def test_corrupt_refcount_is_caught(self):
         pool = SharedFramePool(4)
         pool.acquire("a")
-        pool._refs.incr("phantom")        # a reference with no frame
+        pool._refs["phantom"] = 1         # a reference with no frame
         with pytest.raises(AssertionError, match="has no frame"):
+            pool.check_invariants()
+
+    def test_zero_count_left_behind_is_caught(self):
+        pool = SharedFramePool(4)
+        pool.acquire("a")
+        pool.release("a")
+        pool._refs["a"] = 0               # a count that was not deleted
+        with pytest.raises(AssertionError, match="holds a count of 0"):
+            pool.check_invariants()
+
+    def test_cached_entry_in_another_frame_is_caught(self):
+        pool = SharedFramePool(4)
+        frame, _ = pool.acquire("a")
+        pool.release("a")
+        pool._cached["a"] = frame + 1     # would reclaim the wrong frame
+        with pytest.raises(AssertionError, match="parks frame"):
             pool.check_invariants()
 
     def test_corrupt_free_list_is_caught(self):

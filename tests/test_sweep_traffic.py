@@ -140,22 +140,12 @@ class TestCheckedTrafficLeg:
     def test_checked_leg_answers_as_the_unchecked_one(self):
         assert self.leg(checked=True) == self.leg(checked=False)
 
-    def test_checked_leg_catches_a_planted_leak(self, monkeypatch):
+    def test_checked_leg_catches_a_planted_leak(self, plant_leak):
         from repro.errors import InvariantViolation
-        from repro.serve.refcount import RefCounter
 
-        incr = RefCounter.incr
-        calls = {"n": 0}
-
-        def leaky_incr(self, key):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                incr(self, key)
-            return incr(self, key)
-
-        monkeypatch.setattr(RefCounter, "incr", leaky_incr)
+        plant_leak(1)
         self.leg(checked=False)   # unchecked, the leak goes unnoticed
-        calls["n"] = 0
+        plant_leak(1)
         with pytest.raises(InvariantViolation,
                            match="refcount_conservation"):
             self.leg(checked=True)

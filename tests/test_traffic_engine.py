@@ -216,34 +216,18 @@ class TestChecked:
             strip_nondeterministic(unchecked)
 
     @pytest.mark.parametrize("nth", (1, 300, 636))
-    def test_planted_leak_is_caught(self, nth, monkeypatch):
+    def test_planted_leak_is_caught(self, nth, plant_leak):
         """The ``nth`` pin counts twice, so the pool holds a reference
         no session accounts for.  The tiny point pins 636 times: an
         audit within 64 events stops the run, except after the last
         pin, whose leak shows once every session has drained."""
         from repro.errors import InvariantViolation
-        from repro.serve.refcount import RefCounter
 
         spec = tiny_point(offered=1.5)
-        incr = RefCounter.incr
-        calls = {"n": 0}
-
-        def counting_incr(self, key):
-            calls["n"] += 1
-            return incr(self, key)
-
-        monkeypatch.setattr(RefCounter, "incr", counting_incr)
+        calls = plant_leak(0)
         simulate_traffic(spec)
         assert calls["n"] == 636
-        calls["n"] = 0
-
-        def leaky_incr(self, key):
-            calls["n"] += 1
-            if calls["n"] == nth:
-                incr(self, key)
-            return incr(self, key)
-
-        monkeypatch.setattr(RefCounter, "incr", leaky_incr)
+        plant_leak(nth)
         with pytest.raises(InvariantViolation,
                            match="refcount_conservation"):
             simulate_traffic(spec, checked=True)
