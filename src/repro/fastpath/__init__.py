@@ -27,15 +27,14 @@ fast path produces **bit-identical observable results** to the reference
 loop — the same fault counts, fault positions and eviction sequences —
 differing only in wall-clock time.
 
-Observability rides the same contract: when ``simulate_trace`` is given
-a :class:`~repro.observe.counters.Counters` registry, a batched kernel
-reports its aggregate ``replay.*`` totals from the
-:class:`~repro.paging.simulate.SimulationResult` it computed — identical
-to the totals the reference loop increments one event at a time (the
-differential tests in ``tests/test_observe_differential.py`` pin this
-over 100 seeds).  Per-event *tracing*, by contrast, inherently needs the
-per-access loop, so an enabled tracer disables kernel dispatch for that
-call.
+Observability rides the same contract: every tier's aggregate
+``replay.*`` totals are read off the
+:class:`~repro.paging.simulate.SimulationResult` it returns, after the
+run, so a batched kernel and the reference loop report identical totals
+(the differential tests in ``tests/test_observe_differential.py`` pin
+the telemetry counters over 100 seeds).  Per-event *tracing*, by
+contrast, inherently needs the per-access loop, so an enabled tracer
+disables kernel dispatch for that call.
 """
 
 from repro.fastpath.columnar import run_columnar

@@ -11,9 +11,10 @@ This package makes those events first-class:
   pluggable sinks; :data:`NULL_TRACER` is the shared zero-cost disabled
   form every instrumented subsystem defaults to.
 - :mod:`~repro.observe.sinks` — ring buffer, JSONL file, callback.
-- :mod:`~repro.observe.counters` — one flat :class:`Counters` registry,
-  with ``absorb_*`` adapters folding every existing per-subsystem stats
-  record (pager, allocator, TLB, space-time, replay) into it.
+- :mod:`~repro.observe.counters` — one flat :class:`Counters` ledger,
+  filled after a run by ``absorb_*`` adapters that fold every existing
+  per-subsystem stats record (pager, allocator, TLB, space-time, replay
+  result) into it; no simulator takes a ledger argument.
 - :mod:`~repro.observe.export` — counters as aligned tables (via
   :mod:`repro.metrics.report`), JSON, and CSV; events as tables.
 - :mod:`~repro.observe.cli` — ``python -m repro trace <workload>``:
@@ -47,7 +48,6 @@ from repro.observe.analysis import (
     diff_traces,
 )
 from repro.observe.counters import (
-    NULL_COUNTERS,
     Counters,
     absorb_allocator_counters,
     absorb_associative_memory,
@@ -112,7 +112,6 @@ __all__ = [
     "JsonlSink",
     "LogHistogram",
     "MapLookup",
-    "NULL_COUNTERS",
     "NULL_TELEMETRY",
     "NULL_TRACER",
     "Place",

@@ -21,10 +21,10 @@ first-class too:
 
 The differential contract: for a traced
 :func:`~repro.paging.simulate.simulate_trace` run, the ``faults``
-series sums to the :class:`~repro.observe.counters.Counters` fault
-total, and the ``spacetime`` series endpoint equals an independently
-integrated :class:`~repro.sim.spacetime.SpaceTimeAccount` — pinned by
-``tests/test_analysis_differential.py`` across seeds.
+series sums to the run's ``result.faults`` (and the ``evict`` events
+to ``result.evictions``), and the ``spacetime`` series endpoint equals
+an independently integrated :class:`~repro.sim.spacetime.SpaceTimeAccount`
+— pinned by ``tests/test_analysis_differential.py`` across seeds.
 """
 
 from repro.observe.analysis.diff import TraceDiff, diff_traces

@@ -11,12 +11,11 @@ record into it under dotted names (``pager.faults``, ``alloc.requests``,
 ``tlb.hits``, ``spacetime.waiting`` ...) without those subsystems
 changing shape.
 
-Like the tracer, counters have a zero-cost disabled form:
-:data:`NULL_COUNTERS` accepts every call and records nothing, so hot
-loops can increment unconditionally through one attribute they already
-hold.  (The replay driver goes further and skips even the call when its
-``counters`` argument is ``None`` — see
-:func:`repro.paging.simulate.simulate_trace`.)
+The ledger is filled after a run, never during one: no simulator takes
+a ``Counters`` argument, and each run's totals come from its result
+object alone (a :class:`~repro.paging.simulate.SimulationResult` reads
+the same on every replay tier), so a caller that keeps a ledger absorbs
+the result once the run returns.
 
 >>> counters = Counters()
 >>> counters.increment("pager.faults")
@@ -43,12 +42,11 @@ if TYPE_CHECKING:   # import cycle guards: adapters name these types only
 class Counters:
     """A flat registry of named integer counters and float timers."""
 
-    __slots__ = ("_values", "_timers", "enabled")
+    __slots__ = ("_values", "_timers")
 
     def __init__(self) -> None:
         self._values: dict[str, int | float] = {}
         self._timers: dict[str, float] = {}
-        self.enabled = True
 
     # -- recording -----------------------------------------------------------
 
@@ -92,17 +90,10 @@ class Counters:
 
     # -- combination ---------------------------------------------------------
 
-    def merge(self, other: "Counters") -> None:
-        """Fold another registry's counts into this one (sums)."""
-        for name, value in other._values.items():
-            self._values[name] = self._values.get(name, 0) + value
-        for name, seconds in other._timers.items():
-            self._timers[name] = self._timers.get(name, 0.0) + seconds
-
     def merge_snapshot(self, snapshot: dict[str, int | float]) -> None:
         """Fold a :meth:`snapshot` dict into this registry (sums).
 
-        The cross-process form of :meth:`merge`: a worker ships its
+        How registries combine across processes: a worker ships its
         registry as a plain dict (JSON-safe, picklable) and the parent
         folds it in.  Timer entries arrive as already-suffixed
         ``*_seconds`` values and are summed like any other counter, so a
@@ -127,49 +118,8 @@ class Counters:
                 )
             self._values[name] = self._values.get(name, 0) + value
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict[str, int | float]) -> "Counters":
-        """A fresh registry holding a :meth:`snapshot`'s values."""
-        counters = cls()
-        counters.merge_snapshot(snapshot)
-        return counters
-
-    def clear(self) -> None:
-        self._values.clear()
-        self._timers.clear()
-
     def __repr__(self) -> str:
         return f"Counters({len(self)} names)"
-
-
-class _NullCounters(Counters):
-    """The disabled registry: accepts everything, records nothing."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.enabled = False
-
-    def increment(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def record(self, name: str, value: int | float) -> None:
-        pass
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        yield
-
-    def merge(self, other: Counters) -> None:
-        raise ValueError("NULL_COUNTERS is shared and immutable; build Counters()")
-
-    def merge_snapshot(self, snapshot: dict[str, int | float]) -> None:
-        raise ValueError("NULL_COUNTERS is shared and immutable; build Counters()")
-
-
-NULL_COUNTERS: Counters = _NullCounters()
-"""The shared no-op registry, for call sites that always pass counters."""
 
 
 # -- adapters over the existing per-subsystem stats records -----------------
@@ -228,11 +178,10 @@ def absorb_simulation_result(
 ) -> None:
     """Fold a trace-replay :class:`~repro.paging.simulate.SimulationResult` in.
 
-    This is how the batched :mod:`repro.fastpath.replay` kernels report
-    aggregate counters despite skipping the per-access loop: the kernel's
-    result carries the totals, and they land under exactly the names the
-    reference loop increments one event at a time — asserted identical by
-    the differential tests.
+    The one way replay totals reach a ledger: every replay tier (the
+    batched kernels and the reference loop alike) returns the same
+    result, so the ledger reads the same whichever tier ran — zero
+    totals included.
     """
     counters.increment(f"{prefix}.references", result.references)
     counters.increment(f"{prefix}.faults", result.faults)
@@ -245,9 +194,8 @@ def absorb_serve_stats(
 ) -> None:
     """Fold a shared pool's :class:`~repro.serve.pool.ServeStats` in.
 
-    These are the serving-tier totals the per-tenant accounting must sum
-    to; the shared replay driver increments the same names per event,
-    and the differential tests pin the two paths together.
+    These are the serving-tier totals the per-tenant accounting
+    (:attr:`~repro.serve.tenant.TenantView.stats`) must sum to.
     """
     counters.increment(f"{prefix}.acquires", stats.acquires)
     counters.increment(f"{prefix}.shares", stats.shares)
@@ -282,7 +230,6 @@ def absorb_simulation_summary(
 
 __all__ = [
     "Counters",
-    "NULL_COUNTERS",
     "absorb_allocator_counters",
     "absorb_associative_memory",
     "absorb_pager_stats",

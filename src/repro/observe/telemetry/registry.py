@@ -7,7 +7,7 @@ instruments — monotonic counters, last-value gauges, and
 sketches — that hot paths update while the simulation is still running,
 and that fan in losslessly across sweep worker boundaries.
 
-Design rules, matching the tracer/counters tiers:
+Design rules, matching the tracer tier:
 
 - **Zero-cost when off.** ``NULL_TELEMETRY`` hands out no-op
   instruments; call sites thread ``telemetry=None`` and go through
@@ -292,7 +292,7 @@ class _NullTelemetry(TelemetryRegistry):
 
 
 #: Shared disabled registry — the default everywhere telemetry is not
-#: explicitly requested, mirroring ``NULL_TRACER`` / ``NULL_COUNTERS``.
+#: explicitly requested, mirroring ``NULL_TRACER``.
 NULL_TELEMETRY = _NullTelemetry()
 
 

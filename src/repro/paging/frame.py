@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
+from repro.alloc.base import check_int
 from repro.errors import OutOfMemory
 
 
@@ -28,6 +29,7 @@ class FrameTable:
     __slots__ = ("_owners", "_frame_of", "_free")
 
     def __init__(self, frame_count: int) -> None:
+        check_int(frame_count, "frame_count")
         if frame_count <= 0:
             raise ValueError(f"frame_count must be positive, got {frame_count}")
         self._owners: list[Hashable | None] = [None] * frame_count

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 from repro.alloc.base import check_int
-from repro.observe.counters import Counters, absorb_simulation_result
 from repro.observe.events import Evict, Fault
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.tracer import Tracer
@@ -67,7 +66,6 @@ def simulate_trace(
     record_evictions: bool = False,
     fast: bool = True,
     tracer: Tracer | None = None,
-    counters: Counters | None = None,
     checked: bool = False,
     telemetry: TelemetryRegistry | None = None,
 ) -> SimulationResult:
@@ -105,12 +103,6 @@ def simulate_trace(
         (virtual time).  Per-event tracing requires the per-access loop,
         so an *enabled* tracer forces the reference path regardless of
         ``fast``.
-    counters:
-        Optional :class:`~repro.observe.counters.Counters` registry
-        receiving the run's aggregate totals under ``replay.*`` names.
-        The reference loop increments event counters inline; a batched
-        kernel reports the same totals from its result — the
-        differential tests assert the two are identical.
     checked:
         Run the :mod:`repro.check` invariant suite over the frame table
         as the replay proceeds (sampled every 64 references, plus a
@@ -156,11 +148,8 @@ def simulate_trace(
             telemetry=telemetry,
         )
         if result is not None:
-            if counters is not None:
-                absorb_simulation_result(counters, result)
             return finish(result)
 
-    counting = counters is not None and counters.enabled
     table = FrameTable(frames)
     suite = None
     if checked:
@@ -182,14 +171,9 @@ def simulate_trace(
             policy.on_access(page, index, modified=write)
             continue
         faults += 1
-        cold = page not in seen
-        if cold:
+        if page not in seen:
             cold_faults += 1
             seen.add(page)
-        if counting:
-            counters.increment("replay.faults")
-            if cold:
-                counters.increment("replay.cold_faults")
         if tracing:
             tracer.emit(Fault(time=index, unit=page, write=write))
         if record_positions:
@@ -203,8 +187,6 @@ def simulate_trace(
             table.release(victim)
             policy.on_evict(victim)
             evictions += 1
-            if counting:
-                counters.increment("replay.evictions")
             if tracing:
                 tracer.emit(Evict(time=index, unit=victim))
             if record_evictions:
@@ -214,8 +196,6 @@ def simulate_trace(
 
     if suite is not None:
         suite.check(table)
-    if counting:
-        counters.increment("replay.references", len(trace))
     return finish(SimulationResult(
         policy=policy.name,
         frames=frames,
@@ -235,8 +215,10 @@ def record_replay_telemetry(
 ) -> None:
     """Fold a finished replay into a telemetry registry.
 
-    The telemetry analogue of :func:`absorb_simulation_result`: the
-    aggregate counters, plus the ``fault_gap`` sketch (distance from
+    Every tier reports its totals the same way, by this call on its
+    result: the ``replay.*`` counters (the names
+    :func:`~repro.observe.counters.absorb_simulation_result` gives a
+    ``Counters`` ledger), plus the ``fault_gap`` sketch (distance from
     each fault to the previous one, in references) when the run
     recorded fault positions.  Reads the result only — calling it can
     never perturb a simulation.

@@ -24,14 +24,14 @@ workload's references, never reach the view or the pool.
 The differential contract this driver is pinned to
 (``tests/test_serve_differential.py``, 100 seeds): at sharing degree 1
 with no shared pages, the per-tenant :class:`SimulationResult` and the
-``replay.*`` counter stream are **bit-identical** to
+``replay.*`` telemetry counters are **bit-identical** to
 ``simulate_trace(trace, frames, policy, fast=False)``; at every degree
-the results, pool statistics, counters, event stream and telemetry are
-identical to the per-reference loop in ``tests/serve_reference.py``.
-Sharing degree 1 *is* the unshared path; everything the serving tier
-adds happens only when degree > 1 or shared pages exist, and its
-counters (``serve.*``) are created only when the events they count
-occur.
+the results, pool statistics, event stream and telemetry are identical
+to the per-reference loop in ``tests/serve_reference.py``.  Sharing
+degree 1 *is* the unshared path; everything the serving tier adds
+happens only when degree > 1 or shared pages exist.  Every total is
+read off the finished result: per tenant in
+:attr:`SharedReplayResult.tenants`, for the pool in its ``pool_stats``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Callable, Hashable, Sequence
 
 from repro.alloc.base import check_int
 from repro.fastpath.replay import _as_fast_sequence
-from repro.observe.counters import Counters
 from repro.observe.events import Evict, Fault
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.tracer import Tracer
@@ -130,7 +129,6 @@ def simulate_shared(
     record_positions: bool = False,
     record_evictions: bool = False,
     tracer: Tracer | None = None,
-    counters: Counters | None = None,
     checked: bool = False,
     telemetry: TelemetryRegistry | None = None,
 ) -> SharedReplayResult:
@@ -163,10 +161,6 @@ def simulate_shared(
         (timestamped by the tenant's own reference index, exactly as the
         unshared driver does) and the pool's ``Share`` / ``DedupHit`` /
         ``CoWBreak`` events.  At degree 1 the streams are identical.
-    counters:
-        Optional registry; receives the unshared driver's ``replay.*``
-        names plus — only when the events occur — ``serve.*`` totals and
-        ``serve.tenant.<name>.*`` per-tenant accounting (degree > 1).
     checked:
         Replay each tenant through ``simulate_trace``'s checked
         reference loop, and audit the pool and every tenant view with
@@ -204,7 +198,6 @@ def simulate_shared(
         raise ValueError(f"pool_frames must be positive, got {pool_frames}")
 
     tracing = tracer is not None and tracer.enabled
-    counting = counters is not None and counters.enabled
     pool = SharedFramePool(
         pool_frames,
         tracer=tracer if tracing else None,
@@ -324,11 +317,6 @@ def simulate_shared(
 
     if suite is not None:
         suite.check_all(audited)
-    if counting:
-        _count_shared(counters, runs, views, pool.stats, labels)
-        counters.increment(
-            "replay.references", sum(len(trace) for trace in traces)
-        )
     if not record_evictions:
         for run in runs:
             run.victims = []
@@ -382,38 +370,6 @@ def _first_shared_writes(
     return found
 
 
-def _count_shared(
-    counters: Counters,
-    runs: Sequence[SimulationResult],
-    views: Sequence[TenantView],
-    stats: ServeStats,
-    labels: Sequence[str | None],
-) -> None:
-    """The totals the per-reference loop counted one event at a time.
-
-    A counter is created only once its event has occurred, so zero
-    totals are skipped; per-tenant names exist only at degree > 1.
-    """
-    totals = {
-        "replay.faults": sum(run.faults for run in runs),
-        "replay.cold_faults": sum(run.cold_faults for run in runs),
-        "replay.evictions": sum(run.evictions for run in runs),
-        "serve.shares": stats.shares,
-        "serve.dedup_hits": stats.dedup_hits,
-        "serve.cow_breaks": stats.cow_breaks,
-    }
-    if len(runs) > 1:
-        for label, run, view in zip(labels, runs, views):
-            prefix = f"serve.tenant.{label}"
-            totals[f"{prefix}.faults"] = run.faults
-            totals[f"{prefix}.shares"] = view.stats.shares
-            totals[f"{prefix}.dedup_hits"] = view.stats.dedup_hits
-            totals[f"{prefix}.cow_breaks"] = view.stats.cow_breaks
-    for name, amount in totals.items():
-        if amount:
-            counters.increment(name, amount)
-
-
 def record_shared_telemetry(
     telemetry: TelemetryRegistry | None,
     result: SharedReplayResult,
@@ -421,10 +377,9 @@ def record_shared_telemetry(
     """Fold a finished shared replay into a telemetry registry.
 
     Per-tenant totals go through :func:`record_replay_telemetry` (so the
-    ``replay.*`` names sum across tenants exactly as the ``Counters``
-    stream does), pool accounting lands under ``serve.*``, and the
-    per-tenant fault totals feed a sketch — the imbalance view the
-    scalar sums cannot give.  Reads the result only.
+    ``replay.*`` names sum across tenants), pool accounting lands under
+    ``serve.*``, and the per-tenant fault totals feed a sketch — the
+    imbalance view the scalar sums cannot give.  Reads the result only.
     """
     if telemetry is None or not telemetry.enabled:
         return

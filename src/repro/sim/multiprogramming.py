@@ -39,6 +39,7 @@ class Think:
         if self.duration <= 0:
             raise ValueError("think duration must be positive")
 
+from repro.alloc.base import check_int
 from repro.fastpath.replay import run_fast
 from repro.observe.events import Evict, Fault, Place
 from repro.observe.tracer import Tracer, as_tracer
@@ -87,6 +88,7 @@ class ProgramSpec:
     arrival: int = 0
 
     def __post_init__(self) -> None:
+        check_int(self.frames, "frames")
         if not self.trace:
             raise ValueError(f"program {self.name!r} has an empty trace")
         if self.frames <= 0:

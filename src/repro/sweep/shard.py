@@ -46,6 +46,7 @@ from repro.observe.counters import (
     Counters,
     absorb_allocator_counters,
     absorb_serve_stats,
+    absorb_simulation_result,
     absorb_simulation_summary,
 )
 from repro.observe.telemetry.registry import TelemetryRegistry
@@ -133,10 +134,10 @@ def _replay(spec: dict, counters: Counters,
         spec["frames"],
         make_policy(spec["replacement"]),
         record_positions=telemetry.enabled,
-        counters=counters,
         checked=spec["checked"],
         telemetry=telemetry,
     )
+    absorb_simulation_result(counters, result)
     return {
         "faults": result.faults,
         "cold_faults": result.cold_faults,

@@ -1,19 +1,19 @@
 """Derived series must agree with the independent aggregate accounting.
 
 The analyzer derives its series from the event stream alone; the
-``Counters`` registry is incremented inline by the simulation, and
-``SpaceTimeAccount`` integrates occupancy piecewise.  These are three
-independent accounting mechanisms over one run, and this suite pins
-them to each other across 30 seeds — the analysis tier's half of the
-observability consistency contract (the fastpath half lives in
-``test_observe_differential.py``).
+simulation's ``SimulationResult`` counts faults and evictions as it
+runs, and ``SpaceTimeAccount`` integrates occupancy piecewise.  These
+are three independent accounting mechanisms over one run, and this
+suite pins them to each other across 30 seeds — the analysis tier's
+half of the observability consistency contract (the fastpath half
+lives in ``test_observe_differential.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.observe import CallbackSink, Counters, RingBufferSink, Tracer
+from repro.observe import CallbackSink, RingBufferSink, Tracer
 from repro.observe.analysis import RUN, TraceAnalyzer, analyze_events
 from repro.paging import make_policy, simulate_trace
 from repro.sim.spacetime import SpaceTimeAccount
@@ -28,27 +28,24 @@ def make_trace(seed):
 
 
 def traced_run(seed):
-    """One traced simulation: its events, counters, and result."""
+    """One traced simulation: its events and result."""
     trace = make_trace(seed)
     ring = RingBufferSink(capacity=8192)
-    counters = Counters()
     result = simulate_trace(
         trace, frames=4 + seed % 13, policy=make_policy("lru"),
-        tracer=Tracer([ring]), counters=counters,
+        tracer=Tracer([ring]),
     )
-    return ring.events(), counters, result
+    return ring.events(), result
 
 
 def test_fault_series_sums_to_counter_totals_across_30_seeds():
     for seed in SEEDS:
-        events, counters, result = traced_run(seed)
+        events, result = traced_run(seed)
         analytics = analyze_events(events, window=50)
-        assert sum(analytics.series["faults"].values) == (
-            counters.value("replay.faults")
-        ), f"fault series diverged from counters at seed={seed}"
-        assert analytics.kind_counts.get("evict", 0) == (
-            counters.value("replay.evictions")
+        assert sum(analytics.series["faults"].values) == result.faults, (
+            f"fault series diverged from the result at seed={seed}"
         )
+        assert analytics.kind_counts.get("evict", 0) == result.evictions
         assert analytics.kind_counts["fault"] == result.faults
 
 
@@ -60,7 +57,7 @@ def test_spacetime_endpoint_matches_independent_integration():
     windowing or clamping machinery.
     """
     for seed in SEEDS:
-        events, _, _ = traced_run(seed)
+        events, _ = traced_run(seed)
         account = SpaceTimeAccount()
         resident: set = set()
         last_time = None
@@ -101,12 +98,12 @@ def test_live_sink_and_replayed_events_agree():
 
 
 def test_window_choice_never_changes_totals():
-    events, counters, _ = traced_run(11)
+    events, result = traced_run(11)
     for window in (1, 7, 50, 400, 10_000):
         analytics = analyze_events(events, window=window)
-        assert sum(analytics.series["faults"].values) == (
-            counters.value("replay.faults")
-        ), f"window={window} changed the fault total"
+        assert sum(analytics.series["faults"].values) == result.faults, (
+            f"window={window} changed the fault total"
+        )
         assert analytics.series["spacetime"].final() == (
             analyze_events(events, window=50).series["spacetime"].final()
         )

@@ -1,4 +1,4 @@
-"""Counters registry: recording, null no-op mode, and the absorb adapters."""
+"""Counters registry: recording, snapshot merging, and the absorb adapters."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.alloc import FreeListAllocator
 from repro.observe import (
-    NULL_COUNTERS,
     Counters,
     absorb_allocator_counters,
     absorb_associative_memory,
@@ -49,21 +48,13 @@ class TestRegistry:
         assert "replay_seconds" in snap
         assert snap["replay_seconds"] >= 0.0
 
-    def test_merge_sums(self):
-        left, right = Counters(), Counters()
-        left.increment("x", 3)
-        right.increment("x", 4)
-        right.increment("y", 1)
-        left.merge(right)
-        assert left.value("x") == 7
-        assert left.value("y") == 1
-
     def test_merge_snapshot_round_trips(self):
         source = Counters()
         source.increment("pager.faults", 5)
         with source.timer("replay"):
             pass
-        target = Counters.from_snapshot(source.snapshot())
+        target = Counters()
+        target.merge_snapshot(source.snapshot())
         assert target.snapshot() == source.snapshot()
 
 
@@ -102,24 +93,6 @@ class TestMergeSnapshotValidation:
         counters.merge_snapshot({"a": 3, "b_seconds": 0.25})
         assert counters.value("a") == 5
         assert counters.value("b_seconds") == 0.75
-
-
-class TestNullCounters:
-    def test_records_nothing(self):
-        NULL_COUNTERS.increment("anything", 100)
-        NULL_COUNTERS.record("gauge", 5)
-        with NULL_COUNTERS.timer("t"):
-            pass
-        assert len(NULL_COUNTERS) == 0
-        assert NULL_COUNTERS.snapshot() == {}
-
-    def test_disabled_flag_supports_hot_path_guards(self):
-        assert NULL_COUNTERS.enabled is False
-        assert Counters().enabled is True
-
-    def test_merge_into_null_rejected(self):
-        with pytest.raises(ValueError):
-            NULL_COUNTERS.merge(Counters())
 
 
 class TestAdapters:

@@ -1,18 +1,20 @@
 """Fastpath and reference replay must report identical aggregate counters.
 
 The batched kernels (``repro.fastpath.replay``) skip the per-access loop,
-so they cannot increment counters event by event; instead they absorb
-their ``SimulationResult`` totals.  The reference loop increments inline
-as each fault/eviction happens.  These are two independent accounting
-mechanisms, and this suite pins them to each other across 100 seeds —
-the observability half of the fastpath bit-identity contract.
+so nothing can count their events one at a time.  Every tier therefore
+reports the same way: ``simulate_trace`` reads the totals off the
+``SimulationResult`` it returns and lands them as ``replay.*`` telemetry
+counters.  This suite pins the counters of a kernel run to those of the
+reference loop (and of a traced run) across 100 seeds, zero-eviction
+runs included — the observability half of the fastpath bit-identity
+contract.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.observe import Counters, RingBufferSink, Tracer
+from repro.observe import RingBufferSink, TelemetryRegistry, Tracer
 from repro.paging import make_policy, simulate_trace
 from repro.workload import phased_trace, random_trace, zipf_trace
 
@@ -30,23 +32,30 @@ def make_trace(seed):
     return generator(pages=48, length=400, seed=seed)
 
 
-def run(trace, policy_name, frames, fast):
+def counters_of(telemetry):
+    """The registry's deterministic counters (wall-clock names dropped)."""
+    return telemetry.deterministic_snapshot()["counters"]
+
+
+def run(trace, policy_name, frames, fast, tracer=None):
     if policy_name == "opt":
         policy = make_policy("opt", trace=trace)
     else:
         policy = make_policy(policy_name)
-    counters = Counters()
+    telemetry = TelemetryRegistry()
     result = simulate_trace(
-        trace, frames=frames, policy=policy, fast=fast, counters=counters,
+        trace, frames=frames, policy=policy, fast=fast, tracer=tracer,
+        telemetry=telemetry,
     )
-    return result, counters.snapshot()
+    return result, counters_of(telemetry)
 
 
 @pytest.mark.parametrize("policy_name", FAST_POLICIES)
 def test_counter_totals_identical_across_100_seeds(policy_name):
     for seed in SEEDS:
         trace = make_trace(seed)
-        frames = 4 + seed % 13
+        # Every tenth seed holds the whole page set, so nothing is evicted.
+        frames = len(set(trace)) if seed % 10 == 0 else 4 + seed % 13
         fast_result, fast_counts = run(trace, policy_name, frames, fast=True)
         ref_result, ref_counts = run(trace, policy_name, frames, fast=False)
         assert fast_counts == ref_counts, (
@@ -58,37 +67,42 @@ def test_counter_totals_identical_across_100_seeds(policy_name):
 
 def test_counters_cover_every_replay_name():
     trace = make_trace(7)
-    _, counts = run(trace, "lru", frames=8, fast=True)
-    assert set(counts) == set(REPLAY_NAMES)
-    assert counts["replay.references"] == len(trace)
-    assert counts["replay.cold_faults"] <= counts["replay.faults"]
+    for frames in (8, len(set(trace))):
+        for fast in (True, False):
+            result, counts = run(trace, "lru", frames, fast=fast)
+            assert set(counts) == set(REPLAY_NAMES)
+            assert counts["replay.references"] == len(trace)
+            assert counts["replay.cold_faults"] <= counts["replay.faults"]
+            assert counts["replay.evictions"] == result.evictions
+    assert counts["replay.evictions"] == 0
 
 
 def test_enabled_tracer_forces_reference_loop_with_same_counters():
     """Tracing needs per-event resolution, so the kernel is bypassed —
     but the counter totals must not change."""
     trace = make_trace(11)
-    ring = RingBufferSink(8192)
-    traced_counters = Counters()
-    traced = simulate_trace(
-        trace, frames=8, policy=make_policy("lru"), fast=True,
-        tracer=Tracer([ring]), counters=traced_counters,
-    )
-    _, kernel_counts = run(trace, "lru", frames=8, fast=True)
-    assert traced_counters.snapshot() == kernel_counts
-    faults = [e for e in ring.events() if e.kind == "fault"]
-    evicts = [e for e in ring.events() if e.kind == "evict"]
-    assert len(faults) == traced.faults
-    assert len(evicts) == traced.evictions
+    for frames in (8, len(set(trace))):
+        ring = RingBufferSink(8192)
+        traced, traced_counts = run(
+            trace, "lru", frames, fast=True, tracer=Tracer([ring]),
+        )
+        _, kernel_counts = run(trace, "lru", frames, fast=True)
+        assert traced_counts == kernel_counts
+        faults = [e for e in ring.events() if e.kind == "fault"]
+        evicts = [e for e in ring.events() if e.kind == "evict"]
+        assert len(faults) == traced.faults
+        assert len(evicts) == traced.evictions
+    assert traced.evictions == 0
 
 
 def test_counters_accumulate_across_runs():
     """One registry can hold a whole experiment: totals sum over calls."""
     trace = make_trace(3)
-    counters = Counters()
+    telemetry = TelemetryRegistry()
     a = simulate_trace(trace, frames=6, policy=make_policy("fifo"),
-                       counters=counters)
+                       telemetry=telemetry)
     b = simulate_trace(trace, frames=12, policy=make_policy("fifo"),
-                       counters=counters)
-    assert counters.value("replay.references") == 2 * len(trace)
-    assert counters.value("replay.faults") == a.faults + b.faults
+                       telemetry=telemetry)
+    counts = counters_of(telemetry)
+    assert counts["replay.references"] == 2 * len(trace)
+    assert counts["replay.faults"] == a.faults + b.faults

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import OutOfMemory
-from repro.paging import FrameTable
+from repro.paging import FifoPolicy, FrameTable
+from repro.sim.multiprogramming import ProgramSpec
 
 
 class TestAcquireRelease:
@@ -85,3 +86,13 @@ class TestInspection:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             FrameTable(0)
+
+    @pytest.mark.parametrize("count", [2.5, 4.0, True, "3"])
+    def test_rejects_a_count_that_is_not_an_int(self, count):
+        """A frame count is a whole number of frames: a fraction, a
+        float, a bool or a string is refused before any table is built,
+        by the table and by a multiprogrammed program's allotment."""
+        with pytest.raises(TypeError, match="frame_count must be an int"):
+            FrameTable(count)
+        with pytest.raises(TypeError, match="frames must be an int"):
+            ProgramSpec("p", [0, 1, 2], count, FifoPolicy())

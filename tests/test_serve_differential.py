@@ -2,17 +2,17 @@
 
 Sharing degree 1 with nothing shared *is* the unshared path: the
 shared-pool replay must be bit-identical — faults, cold faults,
-evictions, fault positions, victim sequences, and the whole counter
-snapshot — to ``simulate_trace``'s reference loop, and a DemandPager
-over an unshared TenantView must produce the exact PagerStats a bare
-FrameTable does.  Everything the serving tier adds is provably inert
+evictions, fault positions, victim sequences, and the ``replay.*``
+telemetry counters — to ``simulate_trace``'s reference loop, and a
+DemandPager over an unshared TenantView must produce the exact
+PagerStats a bare FrameTable does.  Everything the serving tier adds is provably inert
 until a second tenant or a shared page exists.
 
 At every degree, the event-driven ``simulate_shared`` (per-tenant
 kernels, then only the pool events) must match the per-reference loop
 it replaced, kept as the oracle in ``tests/serve_reference.py``:
-results, pool statistics, counters, the event stream in order, and
-telemetry — and it must fail with the same ``OutOfMemory`` when the
+results, pool statistics, the event stream in order, and telemetry —
+and it must fail with the same ``OutOfMemory`` when the
 pool is overcommitted.
 """
 
@@ -24,7 +24,6 @@ from repro.addressing import PageTable
 from repro.clock import Clock
 from repro.errors import OutOfMemory
 from repro.memory import BackingStore, StorageLevel
-from repro.observe.counters import Counters
 from repro.observe.sinks import CallbackSink
 from repro.observe.telemetry import TelemetryRegistry
 from repro.observe.tracer import Tracer
@@ -55,20 +54,27 @@ def degree_one_trace(seed):
     )
 
 
+def replay_counters(telemetry):
+    """A registry's ``replay.*`` counters."""
+    return {name: value
+            for name, value in telemetry.snapshot()["counters"].items()
+            if name.startswith("replay.")}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_degree_one_is_bit_identical(seed):
     trace = list(degree_one_trace(seed))
-    base_counters = Counters()
+    base_telemetry = TelemetryRegistry()
     base = simulate_trace(
         trace, 8, make_policy("lru"),
         record_positions=True, record_evictions=True,
-        counters=base_counters, fast=False,
+        telemetry=base_telemetry, fast=False,
     )
-    served_counters = Counters()
+    served_telemetry = TelemetryRegistry()
     served = simulate_shared(
         [trace], 8, lambda _index: make_policy("lru"),
         record_positions=True, record_evictions=True,
-        counters=served_counters,
+        telemetry=served_telemetry,
     )
     tenant = served.tenants[0]
     assert tenant.faults == base.faults
@@ -76,7 +82,7 @@ def test_degree_one_is_bit_identical(seed):
     assert tenant.evictions == base.evictions
     assert tenant.fault_positions == base.fault_positions
     assert tenant.victims == base.victims
-    assert served_counters.snapshot() == base_counters.snapshot()
+    assert replay_counters(served_telemetry) == replay_counters(base_telemetry)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -95,15 +101,6 @@ def test_degree_one_with_writes_is_bit_identical(seed):
     assert (tenant.faults, tenant.evictions) == (base.faults, base.evictions)
     assert tenant.fault_positions == base.fault_positions
     assert tenant.victims == base.victims
-
-
-def test_degree_one_creates_no_serve_counters():
-    trace = list(degree_one_trace(0))
-    counters = Counters()
-    simulate_shared([trace], 8, lambda _index: make_policy("lru"),
-                    counters=counters)
-    assert not any(name.startswith("serve.")
-                   for name in counters.snapshot())
 
 
 def test_sharing_changes_fetches_not_tenant_results():
@@ -196,30 +193,26 @@ def oracle_case(seed):
 
 
 def instrumented_run(simulate, case):
-    """``(result or OutOfMemory, events, counters, telemetry)``."""
+    """``(result or OutOfMemory, events, telemetry)``."""
     events = []
-    counters = Counters()
     telemetry = TelemetryRegistry()
     try:
         outcome = simulate(
             **case, record_positions=True, record_evictions=True,
             tracer=Tracer([CallbackSink(events.append)]),
-            counters=counters, telemetry=telemetry,
+            telemetry=telemetry,
         )
     except OutOfMemory as error:
         outcome = error
-    return (outcome, events, counters.snapshot(),
-            telemetry.deterministic_snapshot())
+    return outcome, events, telemetry.deterministic_snapshot()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_event_driven_replay_matches_the_per_reference_loop(seed):
     case = oracle_case(seed)
-    result, events, counters, telemetry = instrumented_run(
-        simulate_shared, case
-    )
-    expected, expected_events, expected_counters, expected_telemetry = (
-        instrumented_run(simulate_shared_reference, case)
+    result, events, telemetry = instrumented_run(simulate_shared, case)
+    expected, expected_events, expected_telemetry = instrumented_run(
+        simulate_shared_reference, case
     )
     # Per-tenant results include fault positions and victim sequences.
     assert result.tenants == expected.tenants
@@ -231,7 +224,6 @@ def test_event_driven_replay_matches_the_per_reference_loop(seed):
     )
     assert result.pool_stats == expected.pool_stats
     assert result == expected
-    assert counters == expected_counters
     assert events == expected_events
     assert telemetry == expected_telemetry
 
@@ -259,8 +251,8 @@ def test_oracle_cases_reach_every_pool_event():
 def test_overcommitted_pool_fails_like_the_per_reference_loop(seed):
     case = oracle_case(seed)
     case["pool_frames"] = max(1, case["frames"] * len(case["traces"]) * 2 // 3)
-    outcome, events, _, _ = instrumented_run(simulate_shared, case)
-    expected, expected_events, _, _ = instrumented_run(
+    outcome, events, _ = instrumented_run(simulate_shared, case)
+    expected, expected_events, _ = instrumented_run(
         simulate_shared_reference, case
     )
     assert type(outcome) is type(expected)

@@ -1,6 +1,7 @@
 """The engine's contracts: determinism, resume, damage tolerance."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.sweep.engine import (
     strip_nondeterministic,
     write_heartbeat,
 )
-from repro.sweep.grid import SweepGrid
+from repro.sweep.grid import SweepGrid, quick_grid
 from repro.sweep.shard import run_shard
 
 
@@ -78,6 +79,21 @@ class TestDeterminism:
         a = run_sweep(tiny_grid(), workers=1)
         b = run_sweep(tiny_grid(base_seed=7), workers=1)
         assert comparable(a) != comparable(b)
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_checked_shard_writes_the_unchecked_record(self, replacement):
+        """Checking forces the reference replay loop, which must leave
+        the same record — counters included — as the kernel; frames
+        cover every page, so the replay's eviction total is zero."""
+        grid = replace(quick_grid(), machines=("baseline",),
+                       replacement=(replacement,), frames=(64,), seeds=(0,))
+        shard = next(grid.shards())
+        assert shard.frames >= grid.pages
+        plain = strip_nondeterministic(run_shard(shard.spec()))
+        checked = strip_nondeterministic(run_shard(shard.spec(checked=True)))
+        assert (plain.pop("checked"), checked.pop("checked")) == (False, True)
+        assert checked == plain
+        assert plain["counters"]["replay.evictions"] == 0
 
 
 class TestTraceCache:
