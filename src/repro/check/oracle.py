@@ -156,7 +156,7 @@ def _drive_allocator(allocator, requests, suite, report, seed) -> bool:
         except InvariantViolation as violation:
             report.flag(
                 "placement", seed,
-                f"t={time} {action} {request.name}: {violation}",
+                f"t={time} {action} {request!r}: {violation}",
             )
             return False
         report.record("placement")

@@ -1,4 +1,4 @@
-"""Execute one sweep shard: replay, space-time mix, allocator churn, serve.
+"""Execute one sweep shard: replay, mix, churn, serve and traffic legs.
 
 A shard is one cell of the grid.  It runs the measurements the paper's
 figures — and the serving tier's new figure family — are built from,
@@ -10,11 +10,12 @@ all seeded from the shard's own derived streams:
 - *Mix* (Figure 3): a small multiprogrammed mix over the machine
   preset's page-fetch time — the space-time product split into active
   and page-wait components, plus processor utilization.
-- *Churn* (Figure 4): an exponential request stream through a free-list
-  allocator under the shard's placement policy — failure counts,
-  external fragmentation of the free list, and the internal
-  fragmentation the same requests would suffer under whole-page
-  allotment at the preset's page size.
+- *Churn* (Figure 4): an exponential request stream, drawn as integer
+  size and lifetime columns and replayed in integer schedule order,
+  through a free-list allocator under the shard's placement policy —
+  failure counts, external fragmentation of the free list, and the
+  internal fragmentation the same requests would suffer under
+  whole-page allotment at the preset's page size.
 - *Serve* (the sharing-degree family, ``EXPERIMENTS.md``): ``sharing``
   forked tenants replay tenant-derived traces over one shared frame
   pool with half the page space as common content — fetch rate, dedup
@@ -36,6 +37,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
+from operator import add
 from typing import Callable
 
 from repro.alloc.freelist import FreeListAllocator
@@ -56,7 +58,7 @@ from repro.sim.multiprogramming import MultiprogrammingSimulator, ProgramSpec
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sweep.grid import SCHEMA, derive_seed
 from repro.workload.reference import phased_trace
-from repro.workload.requests import exponential_requests, request_schedule
+from repro.workload.requests import exponential_columns, schedule_order
 
 #: Ops between invariant audits of the allocator in checked mode.
 CHECK_EVERY_OPS = 256
@@ -188,14 +190,28 @@ def _mix(spec: dict, config, counters: Counters) -> dict:
 
 def _churn(spec: dict, config, counters: Counters,
            telemetry: TelemetryRegistry) -> dict:
-    requests = exponential_requests(
-        spec["requests"],
+    """The placement leg: an integer request stream through a free list.
+
+    The stream is two int columns (:func:`exponential_columns`), and
+    request ``i`` arrives at time ``i``.  The leg walks
+    :func:`schedule_order`'s events over them, keeping each live block
+    in a list slot indexed by request number, so no request objects,
+    event tuples or ``id()`` maps are built.  ``ops`` counts allocation
+    attempts and actual frees: freeing a request whose allocation
+    failed counts nothing, but the fragmentation sample and the checked
+    audit still test ``ops`` after it, as after every event.
+    """
+    count = spec["requests"]
+    sizes, lifetimes = exponential_columns(
+        count,
         mean_size=60,
         mean_lifetime=spec["mean_lifetime"],
         max_size=max(64, min(2_000, spec["capacity"] // 8)),
         seed=derive_seed(spec["base_seed"], spec["shard"], "alloc"),
     )
     allocator = FreeListAllocator(spec["capacity"], policy=spec["placement"])
+    allocate = allocator.allocate
+    free = allocator.free
     checked = spec["checked"]
     suite = None
     if checked:
@@ -203,24 +219,24 @@ def _churn(spec: dict, config, counters: Counters,
 
         suite = InvariantSuite()
     size_sketch = telemetry.histogram("alloc.request_words", unit="words")
-    live: dict[int, object] = {}
-    sizes: list[int] = []
+    blocks: list = [None] * count
     ops = failures = 0
     # By the end of the schedule every request has died and the free
     # list has coalesced back to one hole, so fragmentation must be
     # sampled *under load*: keep the stats from the busiest sample.
     frag = fragmentation_stats(allocator)
-    for _, action, request in request_schedule(requests):
-        if action == "allocate":
+    arrivals = range(count)
+    for event in schedule_order(arrivals, list(map(add, arrivals, lifetimes))):
+        if event >= count:
+            event -= count
             ops += 1
-            sizes.append(request.size)
             try:
-                live[id(request)] = allocator.allocate(request.size)
+                blocks[event] = allocate(sizes[event])
             except OutOfMemory:
                 failures += 1
-        elif id(request) in live:
+        elif (block := blocks[event]) is not None:
             ops += 1
-            allocator.free(live.pop(id(request)))
+            free(block)
         if ops % SAMPLE_EVERY_OPS == 0:
             sample = fragmentation_stats(allocator)
             if sample.utilization >= frag.utilization:
@@ -229,7 +245,9 @@ def _churn(spec: dict, config, counters: Counters,
             suite.check(allocator)
     if suite is not None:
         suite.check(allocator)
-    # Every size is a whole word count, so one batch folds as a tally.
+    # Arrivals rise with the index, so ``sizes`` is also the order the
+    # allocations were attempted in.  Every size is a whole word count,
+    # so one batch folds as a tally.
     size_sketch.observe_many(sizes)
     absorb_allocator_counters(counters, allocator.counters)
     wasted, reserved = paging_internal_waste(sizes, config.page_size)
@@ -371,8 +389,9 @@ def run_shard(spec: dict) -> dict:
     """Execute one shard spec (see :meth:`~repro.sweep.grid.Shard.spec`).
 
     Returns the flat result record that lands in ``SWEEP_results.jsonl``:
-    axis values, derived hardware parameters, the three measurement
-    groups, a counters snapshot for the parent to merge, and wall time.
+    axis values, derived hardware parameters, the five legs'
+    measurements, a counters snapshot for the parent to merge, and wall
+    time.
     With telemetry on (``spec["telemetry"]``, default True) the record
     also carries a ``telemetry`` snapshot — per-leg wall spans plus the
     deterministic sketches the legs feed — for the parent to merge and

@@ -1,16 +1,22 @@
 """The differential oracle: clean sweeps, domain selection, report shape."""
 
+import re
+
 import pytest
 
+from repro.alloc import FreeListAllocator
+from repro.check.invariants import InvariantSuite
 from repro.check.oracle import (
     OracleFinding,
     OracleReport,
+    _drive_allocator,
     checked_replay_oracle,
     fault_recovery_oracle,
     placement_oracle,
     replacement_oracle,
     run_oracle,
 )
+from repro.workload import exponential_requests
 
 
 class TestReport:
@@ -42,6 +48,27 @@ class TestDomains:
     def test_placement_oracle_clean(self):
         report = placement_oracle(range(2))
         assert report.ok and report.checks > 0
+
+    def test_placement_violation_is_reported(self):
+        """A free list that loses a freed block's words is flagged with
+        the step that lost them, not crashed on."""
+
+        class LeakyFree(FreeListAllocator):
+            def free(self, allocation):
+                del self._live[allocation.address]
+
+        requests = exponential_requests(40, mean_size=16, mean_lifetime=5,
+                                        seed=3)
+        report = OracleReport()
+        assert _drive_allocator(LeakyFree(256, policy="first_fit"), requests,
+                                InvariantSuite(), report, seed=3) is False
+        (finding,) = report.findings
+        assert (finding.domain, finding.seed) == ("placement", 3)
+        assert re.match(
+            r"t=\d+ free AllocationRequest\(arrival=\d+, size=\d+, "
+            r"lifetime=\d+\): ",
+            finding.detail,
+        ), finding.detail
 
     def test_checked_replay_oracle_clean(self):
         report = checked_replay_oracle(range(2), length=300)

@@ -145,6 +145,34 @@ class TestAllocationRequests:
     def test_departure(self):
         assert AllocationRequest(arrival=5, size=1, lifetime=10).departure == 15
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("make, kwargs, name", [
+        pytest.param(make, kwargs, name, id=f"{make.__name__}-{name}")
+        for make, kwargs, names in (
+            (AllocationRequest, dict(arrival=0, size=3, lifetime=3),
+             ("arrival", "size", "lifetime")),
+            (exponential_requests, dict(count=3, mean_size=10,
+                                        mean_lifetime=5),
+             ("count", "interarrival")),
+            (uniform_requests, dict(count=3, min_size=1, max_size=2,
+                                    mean_lifetime=5),
+             ("count", "interarrival", "min_size", "max_size")),
+        )
+        for name in names
+    ])
+    def test_rejects_a_value_that_is_not_an_int(self, make, kwargs, name,
+                                                value):
+        """Times, sizes and counts are whole numbers, checked before any
+        draw: a caller's generator is left untouched."""
+        import random
+
+        if make is not AllocationRequest:
+            kwargs = dict(kwargs, rng=random.Random(1))
+        with pytest.raises(TypeError, match=name):
+            make(**dict(kwargs, **{name: value}))
+        if make is not AllocationRequest:
+            assert kwargs["rng"].getstate() == random.Random(1).getstate()
+
 
 class TestRequestSchedule:
     def test_interleaves_in_time_order(self):
