@@ -100,8 +100,12 @@ def segment_share_key(tenant: str, shared_groups: frozenset[str] | set[str]):
     tuples from a :class:`SymbolicallySegmentedNameSpace`.  Segments in
     ``shared_groups`` resolve to ``("shared", name)`` content keys every
     tenant agrees on (the shared-library groups); everything else is
-    salted with the tenant's own name and stays private.
+    salted with the tenant's own name and stays private, so the tenant
+    may not be named ``"shared"``.
     """
+    from repro.serve.tenant import check_tenant
+
+    check_tenant(tenant)
     members = frozenset(shared_groups)
 
     def key_for(name: Hashable) -> Hashable:

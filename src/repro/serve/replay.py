@@ -16,10 +16,12 @@ pool decides only how each fault is satisfied and which frame it gets.
 Phase 1 therefore replays each tenant alone through ``simulate_trace``
 and its kernel dispatch.  Phase 2 replays, in the round-robin
 ``(index, tenant)`` order, only the references that touch the pool —
-faults (evict, then acquire) and each page's first write hit while its
-key is shared (the copy-on-write break) — merging the tenants' event
-streams through a heap.  Resident hits, the bulk of a local
-workload's references, never reach the view or the pool.
+faults (evict, then acquire, one ``release_page`` and one
+``acquire_page`` call each) and each page's first write hit while its
+key is shared (the copy-on-write break, through ``note_write``) —
+merging the tenants' event streams through a heap.  Resident hits, the
+bulk of a local workload's references, never reach the view or the
+pool.
 
 The differential contract this driver is pinned to
 (``tests/test_serve_differential.py``, 100 seeds): at sharing degree 1
@@ -268,6 +270,7 @@ def simulate_shared(
     # Both change only at events, so they integrate over the gaps.  The
     # pool's pinned count is read off its maps, as resident_count does.
     pool_keys, pool_cached = pool._frame_of, pool._cached
+    acquire_page, release_page = pool.acquire_page, pool.release_page
     shared_cycles = private_cycles = 0
     private_resident = 0
     since = 0           # the index from which the current state holds
@@ -296,12 +299,13 @@ def simulate_shared(
                 ))
             if cursor >= frames:
                 victim = victims[tenant][cursor - frames]
-                view.release(victim)
+                release_page(view, victim)
                 if tracing:
                     tracer.emit(Evict(time=index, unit=victim, program=label))
             else:
                 private_resident += 1
-            view.acquire_detail(page)
+            if acquire_page(view, page) is None:
+                raise pool.out_of_frames(view.key_for(page))
         else:
             view.note_write(page)
         stream = streams[number]

@@ -17,6 +17,15 @@ extra hooks make sharing visible to a pager without rewriting it:
 Forking is what the shared pool exists for: ``fork()`` yields a new
 view over the same pool with the same shared mapping, so parent and
 child resolve shared pages to the same frames until one of them writes.
+
+The view keeps its page maps, but ``acquire_detail`` and ``release``
+are facades over the pool's one-call entries,
+:meth:`~repro.serve.pool.SharedFramePool.acquire_page` and
+:meth:`~repro.serve.pool.SharedFramePool.release_page`, which the
+serving drivers call directly.
+
+Content keys whose first element is ``"shared"`` name common content,
+so ``"shared"`` is reserved: no tenant may take it as its name.
 """
 
 from __future__ import annotations
@@ -26,6 +35,20 @@ from typing import Callable, Hashable
 
 from repro.alloc.base import check_int
 from repro.serve.pool import SharedFramePool
+
+#: The first element of every shared content key; refused as a tenant
+#: name, since a tenant's private keys start with its name.
+SHARED = "shared"
+
+
+def check_tenant(tenant: str) -> None:
+    """Refuse the reserved tenant name :data:`SHARED`."""
+    if tenant == SHARED:
+        raise ValueError(
+            f"tenant name {SHARED!r} is reserved: private keys start with "
+            f"the tenant's name, and keys starting with {SHARED!r} name "
+            f"shared content"
+        )
 
 
 @dataclass(slots=True)
@@ -50,11 +73,13 @@ def default_share_key(
 
     Pages below ``shared_pages`` are common content every tenant maps
     (the "shared library" region); the rest are private to the tenant.
+    The tenant may not be named ``"shared"`` (:func:`check_tenant`).
     """
+    check_tenant(tenant)
 
     def key_for(page: int) -> Hashable:
         if 0 <= page < shared_pages:
-            return ("shared", page)
+            return (SHARED, page)
         return (tenant, page)
 
     return key_for
@@ -69,6 +94,7 @@ class TenantView:
         The shared frame pool supplying physical frames.
     tenant:
         This tenant's name; it labels events and salts private keys.
+        ``"shared"`` is reserved and refused with ``ValueError``.
     quota:
         Resident-page allotment: ``is_full`` reports True at this many
         resident pages, making the tenant evict — the partitioned
@@ -94,9 +120,11 @@ class TenantView:
         Full custom mapping from local page to content key, overriding
         ``shared_pages`` (e.g. symbolic segment names).  Return a
         ``("shared", ...)``-prefixed tuple — or any key yielded to more
-        than one tenant — to share content.  It must be a pure function
-        of the page: the view resolves each page once and caches its
-        key until the view is discarded (every rule in the package —
+        than one tenant — to share content.  Any callable will do (a
+        function, a ``functools.partial``, an object with
+        ``__call__``).  It must be a pure function of the page: the
+        view resolves each page once and caches its key until the view
+        is discarded (every rule in the package —
         :func:`default_share_key`, a fork's re-keying,
         ``segment_share_key`` — is pure).
 
@@ -124,11 +152,18 @@ class TenantView:
         check_int(shared_pages, "shared_pages")
         if shared_pages < 0:
             raise ValueError(f"shared_pages must be >= 0, got {shared_pages}")
+        check_tenant(tenant)
         self.pool = pool
         self.tenant = tenant
         self.quota = quota if quota is not None else pool.frame_count
         self.shared_pages = shared_pages
-        self._share_key = share_key or default_share_key(tenant, shared_pages)
+        # Whether the view built the default rule: a fork rebuilds it
+        # for the child, and re-keys any rule it was given.
+        self._default_rule = share_key is None
+        self._share_key = (
+            default_share_key(tenant, shared_pages)
+            if share_key is None else share_key
+        )
         self._frame_of: dict[Hashable, int] = {}      # resident page -> frame
         # Every page's content key from its first resolution on, resident
         # or not; a CoW break overwrites the entry with the private key.
@@ -155,7 +190,7 @@ class TenantView:
 
     def is_shared_key(self, key: Hashable) -> bool:
         """Whether ``key`` names content common to multiple tenants."""
-        return isinstance(key, tuple) and len(key) > 0 and key[0] == "shared"
+        return isinstance(key, tuple) and len(key) > 0 and key[0] == SHARED
 
     # -- the FrameTable interface -------------------------------------------
 
@@ -180,56 +215,27 @@ class TenantView:
         return self.acquire_detail(page)[0]
 
     def acquire_detail(self, page: Hashable) -> tuple[int, str | None]:
-        """Acquire with the hit kind: ``"share"``, ``"dedup"`` or None."""
-        frame_of = self._frame_of
-        if page in frame_of:
-            raise ValueError(
-                f"page {page!r} is already resident for tenant {self.tenant}"
-            )
-        if len(frame_of) >= self.quota:
-            raise ValueError(
-                f"tenant {self.tenant} is at its quota of {self.quota}"
-            )
-        key = self._keys.get(page)
-        if key is None:
-            key = self._keys[page] = self._share_key(page)
-        page_of_key = self._page_of_key
-        if key in page_of_key:
-            # A custom share_key mapped two distinct local pages to one
-            # content key.  Before this guard the second acquire would
-            # silently overwrite ``_page_of_key[key]``, after which the
-            # first page's release would corrupt the reverse map (and
-            # the quota would double-charge one frame's content with no
-            # way to tell).  Within one view, page→key must be 1:1.
-            raise ValueError(
-                f"content key {key!r} is already mapped by local page "
-                f"{page_of_key[key]!r} in tenant {self.tenant}; "
-                f"a share_key must map each tenant page to a distinct key"
-            )
-        frame, hit = self.pool.acquire(key, program=self.tenant)
-        frame_of[page] = frame
-        page_of_key[key] = page
-        stats = self.stats
-        stats.acquires += 1
-        if hit == "share":
-            stats.shares += 1
-        elif hit == "dedup":
-            stats.dedup_hits += 1
-        return frame, hit
+        """Acquire with the hit kind: ``"share"``, ``"dedup"`` or None.
+
+        The pool's :meth:`~SharedFramePool.acquire_page` does the work.
+        Within one view, page→key must be 1:1: a ``share_key`` mapping
+        two local pages to one content key is refused with
+        ``ValueError`` at the second page's acquire, since its release
+        would otherwise corrupt the reverse map.  When every frame is
+        pinned this raises ``OutOfMemory``, where the pool entry answers
+        ``None``.
+        """
+        detail = self.pool.acquire_page(self, page)
+        if detail is None:
+            raise self.pool.out_of_frames(self._keys[page])
+        return detail
 
     def release(self, page: Hashable) -> int:
-        """Vacate ``page`` (FrameTable-compatible); returns the frame."""
-        try:
-            frame = self._frame_of.pop(page)
-        except KeyError:
-            raise KeyError(
-                f"page {page!r} is not resident for tenant {self.tenant}"
-            ) from None
-        key = self._keys[page]
-        del self._page_of_key[key]
-        self.pool.release(key)
-        self.stats.releases += 1
-        return frame
+        """Vacate ``page`` (FrameTable-compatible); returns the frame.
+
+        The pool's :meth:`~SharedFramePool.release_page` does the work.
+        """
+        return self.pool.release_page(self, page)
 
     def frame_of(self, page: Hashable) -> int | None:
         return self._frame_of.get(page)
@@ -295,7 +301,10 @@ class TenantView:
         therefore the same frames — as the parent, until either side
         writes (copy-on-write).  Private pages are the child's own.
         CoW breaks the parent has already taken are *not* inherited:
-        the child starts from the clean shared content.
+        the child starts from the clean shared content.  A view that
+        built the default rule gives the child the default rule under
+        its own name; a rule the view was given, whatever callable it
+        is, is re-keyed for the child (see :func:`_rekeyed`).
         """
         return TenantView(
             self.pool,
@@ -303,9 +312,8 @@ class TenantView:
             quota=quota if quota is not None else self.quota,
             shared_pages=self.shared_pages,
             share_key=(
-                None if self._share_key.__qualname__.startswith(
-                    "default_share_key"
-                ) else _rekeyed(self._share_key, self.tenant, tenant)
+                None if self._default_rule
+                else _rekeyed(self._share_key, self.tenant, tenant)
             ),
         )
 

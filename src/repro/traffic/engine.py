@@ -38,6 +38,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable
@@ -46,6 +47,7 @@ from repro.errors import InvariantViolation, OutOfMemory
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.telemetry.sketch import LogHistogram
 from repro.paging.replacement import make_policy
+from repro.serve.tenant import SHARED
 from repro.sweep.engine import CampaignResult, coordinate
 from repro.sweep.grid import SCHEMA, derive_seed
 from repro.sweep.shard import run_safely
@@ -431,9 +433,12 @@ def simulate_traffic(
         for session in finished:
             if audit is not None:
                 audit()
-            for page in session.view.resident_pages():
-                session.view.release(page)
-            pool.unregister_view(session.view)
+            view = session.view
+            # Load order, as the view reports it: freed order decides
+            # which cached content later claims reclaim.
+            for page in view.resident_pages():
+                pool.release_page(view, page)
+            pool.unregister_view(view)
             committed -= session.spec.quota
             result.completed += 1
             active.remove(session)
@@ -482,12 +487,16 @@ def _serve_tick(
     ``on_access``; :func:`_evict` names victims the same way.  A fault
     on a full LRU or FIFO view evicts the dict's first key here: the
     faulting page is not resident, so that is the victim :func:`_evict`
-    would pick.  Only faults, evictions and writes reach the view, and
-    through it the pool.  Each hard fetch's wait is counted in
-    ``session.waits`` (wait -> count), which the engine folds into
-    ``result.fault_wait``.
+    would pick.  Faults and evictions reach the pool in one call each,
+    ``pool.acquire_page`` and ``pool.release_page``; a full pool answers
+    the fault ``None``.  A write hit reaches the view's ``note_write``
+    only while the page's cached key is shared: a private key breaks
+    nothing.  Each hard fetch's wait is counted in ``session.waits``
+    (wait -> count), which the engine folds into ``result.fault_wait``.
     """
     view = session.view
+    keys = view._keys
+    acquire_page, release_page = pool.acquire_page, pool.release_page
     resident = session.resident
     trace = session.trace
     writes = session.writes
@@ -505,12 +514,16 @@ def _serve_tick(
             if write:
                 if audit is not None:
                     audit()
-                try:
-                    view.note_write(page)
-                except OutOfMemory:
-                    if _evict(session, page, position, result,
-                              view.note_write) is _STALLED:
-                        break   # stalled: retry this reference next tick
+                # Sessions key pages by the default rule, so a key is a
+                # tuple whose first element is SHARED exactly when it
+                # names shared content (no tenant may be named that).
+                if keys[page][0] == SHARED:
+                    try:
+                        view.note_write(page)
+                    except OutOfMemory:
+                        if _evict(session, page, position, result,
+                                  view.note_write) is _STALLED:
+                            break   # stalled: retry this reference next tick
             if recency:
                 del resident[page]
                 resident[page] = None
@@ -523,16 +536,15 @@ def _serve_tick(
         if len(resident) >= quota:
             if policy is None:
                 victim = next(iter(resident))
-                view.release(victim)
+                release_page(view, victim)
                 del resident[victim]
                 result.evictions += 1
             else:
                 _evict(session, page, position, result)
-        try:
-            detail = view.acquire_detail(page)
-        except OutOfMemory:
+        detail = acquire_page(view, page)
+        if detail is None:
             detail = _evict(session, page, position, result,
-                            view.acquire_detail)
+                            partial(acquire_page, view))
             if detail is _STALLED:
                 break   # stalled: retry this reference next tick
         resident[page] = None
@@ -589,10 +601,12 @@ def _evict(
     mapped to break.
 
     Without ``attempt`` one victim is released: a fault on a full view.
-    With it, ``attempt(page)`` has just raised ``OutOfMemory``.  Under
-    overcommit every frame can be pinned when a session faults
-    (``attempt`` is ``view.acquire_detail``) or breaks copy-on-write on
-    a shared page it writes (``view.note_write``).  Releasing one of the
+    With it, ``attempt(page)`` has just been refused.  Under overcommit
+    every frame can be pinned when a session faults (``attempt`` is
+    ``pool.acquire_page`` bound to the view, which answers ``None``) or
+    breaks copy-on-write on a shared page it writes (``view.note_write``,
+    which raises ``OutOfMemory``; a retry never answers ``None``, since
+    the page's key stays shared).  Releasing one of the
     session's own pages does not always free a frame — a victim mapping
     shared content still pinned by other tenants only drops a
     refcount — so victims go until ``attempt`` succeeds, and its value
@@ -604,6 +618,7 @@ def _evict(
     fail — so global progress is guaranteed).
     """
     view = session.view
+    release_page = view.pool.release_page
     resident = session.resident
     policy = None if session.kernel else session.policy
     while True:
@@ -620,7 +635,7 @@ def _evict(
                 result.stalls += 1
                 return _STALLED
             victim = policy.choose_victim(others, position)
-        view.release(victim)
+        release_page(view, victim)
         del resident[victim]
         if policy is not None:
             policy.on_evict(victim)
@@ -628,9 +643,11 @@ def _evict(
         if attempt is None:
             return None
         try:
-            return attempt(page)
+            outcome = attempt(page)
         except OutOfMemory:
             continue
+        if outcome is not None:
+            return outcome
 
 
 class _Audit:

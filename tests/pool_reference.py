@@ -1,4 +1,5 @@
-"""The shared frame pool as it was before it kept its own refcounts.
+"""The shared frame pool and tenant view as they were before the pool
+kept its own refcounts and faulted pages in one call.
 
 ``SharedFramePool`` here is ``repro.serve.pool.SharedFramePool`` as it
 stood when its refcounts lived in a ``RefCounter`` and its freed-dedup
@@ -10,20 +11,28 @@ pins the pool to this oracle over random acquire, release and
 copy-on-write walks: return values, errors, statistics, events, every
 refcount and frame, the reclaim order and the telemetry must agree
 after every operation.
+
+``TenantView`` (with ``default_share_key`` and ``_rekeyed``) is
+``repro.serve.tenant.TenantView`` as it stood when its ``acquire_detail``
+and ``release`` went through the pool's key-level ``acquire`` and
+``release``, kept unchanged over the reference pool above, except that
+it takes ``TenantStats`` from ``repro.serve.tenant``.
+``tests/test_view_differential.py`` pins the pool's view-level entries,
+``acquire_page`` and ``release_page``, and the view facades over them,
+to it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterator
+from typing import Callable, Hashable, Iterator
 
+from repro.alloc.base import check_int
 from repro.errors import OutOfMemory
 from repro.observe.events import CoWBreak, DedupHit, Share
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.tracer import Tracer, as_tracer
 from repro.serve.pool import ACQUIRE_SPAN_SAMPLE, COW_SPAN_SAMPLE, ServeStats
-
-if TYPE_CHECKING:
-    from repro.serve.tenant import TenantView
+from repro.serve.tenant import TenantStats
 
 
 class RefCounter:
@@ -535,3 +544,325 @@ class SharedFramePool:
             f"pinned={self.resident_count}, cached={self.cached_count}, "
             f"free={self.free_count}, refs={self.ref_total})"
         )
+
+
+def default_share_key(
+    tenant: str, shared_pages: int
+) -> Callable[[int], Hashable]:
+    """The standard content-key rule: a shared prefix, then private.
+
+    Pages below ``shared_pages`` are common content every tenant maps
+    (the "shared library" region); the rest are private to the tenant.
+    """
+
+    def key_for(page: int) -> Hashable:
+        if 0 <= page < shared_pages:
+            return ("shared", page)
+        return (tenant, page)
+
+    return key_for
+
+
+class TenantView:
+    """One tenant's FrameTable-shaped view of a :class:`SharedFramePool`.
+
+    Parameters
+    ----------
+    pool:
+        The shared frame pool supplying physical frames.
+    tenant:
+        This tenant's name; it labels events and salts private keys.
+    quota:
+        Resident-page allotment: ``is_full`` reports True at this many
+        resident pages, making the tenant evict — the partitioned
+        discipline the multiprogramming mix uses.  Defaults to the whole
+        pool.
+
+        The quota charges **logical residency**: every resident local
+        page costs exactly one unit against the quota, whether its
+        content is private, shared with other tenants, or revived from
+        the dedup cache.  Physical sharing never discounts the charge —
+        a tenant mapping 8 shared pages is at 8/quota even if the pool
+        spent one frame.  This is deliberate: the quota is the promise
+        of *addressability* (how much of its working set a tenant may
+        keep resident), and it is what makes the conservation law hold
+        — ``sum(view.resident_count) == pool.ref_total`` — and what the
+        traffic tier's admission controller budgets against.  Releases
+        refund one unit; a CoW break is charge-neutral (the page stays
+        resident, only its content key changes).
+    shared_pages:
+        Local pages below this bound resolve to ``("shared", page)``
+        content keys common to all tenants; the rest are private.
+    share_key:
+        Full custom mapping from local page to content key, overriding
+        ``shared_pages`` (e.g. symbolic segment names).  Return a
+        ``("shared", ...)``-prefixed tuple — or any key yielded to more
+        than one tenant — to share content.  It must be a pure function
+        of the page: the view resolves each page once and caches its
+        key until the view is discarded (every rule in the package —
+        :func:`default_share_key`, a fork's re-keying,
+        ``segment_share_key`` — is pure).
+
+    >>> pool = SharedFramePool(8)
+    >>> parent = TenantView(pool, "parent", shared_pages=4)
+    >>> parent.acquire(0)
+    0
+    >>> child = parent.fork("child")
+    >>> child.acquire(0), pool.ref_count(("shared", 0))
+    (0, 2)
+    """
+
+    def __init__(
+        self,
+        pool: SharedFramePool,
+        tenant: str,
+        quota: int | None = None,
+        shared_pages: int = 0,
+        share_key: Callable[[int], Hashable] | None = None,
+    ) -> None:
+        if quota is not None:
+            check_int(quota, "quota")
+            if quota <= 0:
+                raise ValueError(f"quota must be positive, got {quota}")
+        check_int(shared_pages, "shared_pages")
+        if shared_pages < 0:
+            raise ValueError(f"shared_pages must be >= 0, got {shared_pages}")
+        self.pool = pool
+        self.tenant = tenant
+        self.quota = quota if quota is not None else pool.frame_count
+        self.shared_pages = shared_pages
+        self._share_key = share_key or default_share_key(tenant, shared_pages)
+        self._frame_of: dict[Hashable, int] = {}      # resident page -> frame
+        # Every page's content key from its first resolution on, resident
+        # or not; a CoW break overwrites the entry with the private key.
+        # At most one entry per distinct page the view ever touched.
+        self._keys: dict[Hashable, Hashable] = {}
+        self._page_of_key: dict[Hashable, Hashable] = {}  # key -> page
+        self._cow_serial = 0
+        self.stats = TenantStats()
+        pool.register_view(self)
+
+    # -- key resolution ------------------------------------------------------
+
+    def key_for(self, page: Hashable) -> Hashable:
+        """The content key ``page`` resolves to, CoW breaks included.
+
+        Once a tenant has broken copy-on-write on a page, that page
+        resolves to its private copy forever — even across eviction and
+        refault — so a write is never silently shared back.
+        """
+        key = self._keys.get(page)
+        if key is None:
+            key = self._keys[page] = self._share_key(page)
+        return key
+
+    def is_shared_key(self, key: Hashable) -> bool:
+        """Whether ``key`` names content common to multiple tenants."""
+        return isinstance(key, tuple) and len(key) > 0 and key[0] == "shared"
+
+    # -- the FrameTable interface -------------------------------------------
+
+    @property
+    def frame_count(self) -> int:
+        """The tenant's allotment (what ``is_full`` is measured against)."""
+        return self.quota
+
+    @property
+    def free_count(self) -> int:
+        return max(0, self.quota - len(self._frame_of))
+
+    @property
+    def resident_count(self) -> int:
+        return len(self._frame_of)
+
+    def is_full(self) -> bool:
+        return len(self._frame_of) >= self.quota
+
+    def acquire(self, page: Hashable) -> int:
+        """Place ``page`` (FrameTable-compatible); returns the frame."""
+        return self.acquire_detail(page)[0]
+
+    def acquire_detail(self, page: Hashable) -> tuple[int, str | None]:
+        """Acquire with the hit kind: ``"share"``, ``"dedup"`` or None."""
+        frame_of = self._frame_of
+        if page in frame_of:
+            raise ValueError(
+                f"page {page!r} is already resident for tenant {self.tenant}"
+            )
+        if len(frame_of) >= self.quota:
+            raise ValueError(
+                f"tenant {self.tenant} is at its quota of {self.quota}"
+            )
+        key = self._keys.get(page)
+        if key is None:
+            key = self._keys[page] = self._share_key(page)
+        page_of_key = self._page_of_key
+        if key in page_of_key:
+            # A custom share_key mapped two distinct local pages to one
+            # content key.  Before this guard the second acquire would
+            # silently overwrite ``_page_of_key[key]``, after which the
+            # first page's release would corrupt the reverse map (and
+            # the quota would double-charge one frame's content with no
+            # way to tell).  Within one view, page→key must be 1:1.
+            raise ValueError(
+                f"content key {key!r} is already mapped by local page "
+                f"{page_of_key[key]!r} in tenant {self.tenant}; "
+                f"a share_key must map each tenant page to a distinct key"
+            )
+        frame, hit = self.pool.acquire(key, program=self.tenant)
+        frame_of[page] = frame
+        page_of_key[key] = page
+        stats = self.stats
+        stats.acquires += 1
+        if hit == "share":
+            stats.shares += 1
+        elif hit == "dedup":
+            stats.dedup_hits += 1
+        return frame, hit
+
+    def release(self, page: Hashable) -> int:
+        """Vacate ``page`` (FrameTable-compatible); returns the frame."""
+        try:
+            frame = self._frame_of.pop(page)
+        except KeyError:
+            raise KeyError(
+                f"page {page!r} is not resident for tenant {self.tenant}"
+            ) from None
+        key = self._keys[page]
+        del self._page_of_key[key]
+        self.pool.release(key)
+        self.stats.releases += 1
+        return frame
+
+    def frame_of(self, page: Hashable) -> int | None:
+        return self._frame_of.get(page)
+
+    def owner(self, frame: int) -> Hashable | None:
+        """The local page this tenant holds in ``frame`` (None if none).
+
+        Under sharing, several tenants legitimately answer for the same
+        frame — each with its own local page.
+        """
+        key = self.pool.owner(frame)
+        if key is None:
+            return None
+        return self._page_of_key.get(key)
+
+    def resident_pages(self) -> list[Hashable]:
+        return list(self._frame_of)
+
+    def __contains__(self, page: Hashable) -> bool:
+        return page in self._frame_of
+
+    # -- the sharing hooks ---------------------------------------------------
+
+    def peek_cached(self, page: Hashable) -> bool:
+        """Would acquiring ``page`` be satisfied without a fetch?
+
+        True when the content is pinned by other tenants (a share) or
+        still cached zero-ref in the freed-dedup pool (a dedup hit).
+        The pager consults this to skip the backing-store transfer.
+        """
+        return self.pool.is_cached(self.key_for(page))
+
+    def note_write(self, page: Hashable) -> int | None:
+        """A resident page was written; break copy-on-write if shared.
+
+        Returns the fresh private frame when a break happened (the
+        caller must remap page→frame), or None when the page already
+        maps private content.  The break happens even for a sole
+        holder: written content must never be revivable as the clean
+        shared original.
+        """
+        if page not in self._frame_of:
+            raise KeyError(
+                f"page {page!r} is not resident for tenant {self.tenant}"
+            )
+        key = self._keys[page]
+        if not self.is_shared_key(key):
+            return None
+        self._cow_serial += 1
+        private = (self.tenant, "cow", page, self._cow_serial)
+        frame = self.pool.cow_break(key, private, program=self.tenant)
+        self._keys[page] = private
+        self._frame_of[page] = frame
+        del self._page_of_key[key]
+        self._page_of_key[private] = page
+        self.stats.cow_breaks += 1
+        return frame
+
+    def fork(self, tenant: str, quota: int | None = None) -> "TenantView":
+        """A new address space sharing this view's shared mapping.
+
+        The child resolves shared pages to the same content keys — and
+        therefore the same frames — as the parent, until either side
+        writes (copy-on-write).  Private pages are the child's own.
+        CoW breaks the parent has already taken are *not* inherited:
+        the child starts from the clean shared content.
+        """
+        return TenantView(
+            self.pool,
+            tenant,
+            quota=quota if quota is not None else self.quota,
+            shared_pages=self.shared_pages,
+            share_key=(
+                None if self._share_key.__qualname__.startswith(
+                    "default_share_key"
+                ) else _rekeyed(self._share_key, self.tenant, tenant)
+            ),
+        )
+
+    # -- invariants ----------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError if this view disagrees with its pool."""
+        assert len(self._frame_of) == len(self._page_of_key), (
+            "view maps out of step"
+        )
+        assert len(self._frame_of) <= self.quota, (
+            f"tenant {self.tenant} over quota: "
+            f"{len(self._frame_of)} > {self.quota}"
+        )
+        for page, view_frame in self._frame_of.items():
+            assert page in self._keys, (
+                f"resident page {page!r} has no cached content key"
+            )
+            key = self._keys[page]
+            assert self._page_of_key.get(key) == page, (
+                f"key {key!r} reverse-maps to "
+                f"{self._page_of_key.get(key)!r}, not {page!r}"
+            )
+            frame = self.pool.frame_of(key)
+            assert frame == view_frame, (
+                f"page {page!r}: view says frame {view_frame}, "
+                f"pool says {frame}"
+            )
+            assert self.pool.ref_count(key) > 0, (
+                f"page {page!r} resident but content {key!r} unreferenced"
+            )
+
+    def __repr__(self) -> str:
+        return (
+            f"TenantView(tenant={self.tenant!r}, "
+            f"resident={len(self._frame_of)}/{self.quota}, "
+            f"shares={self.stats.shares}, cow={self.stats.cow_breaks})"
+        )
+
+
+def _rekeyed(
+    share_key: Callable[[int], Hashable], old: str, new: str
+) -> Callable[[int], Hashable]:
+    """Adapt a custom share-key function for a forked tenant.
+
+    Shared keys pass through untouched (that is the point of the fork);
+    private keys that embed the parent's name are re-salted with the
+    child's so the two address spaces never collide on private content.
+    """
+
+    def key_for(page: int) -> Hashable:
+        key = share_key(page)
+        if isinstance(key, tuple) and len(key) > 0 and key[0] == old:
+            return (new,) + key[1:]
+        return key
+
+    return key_for

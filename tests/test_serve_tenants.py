@@ -6,6 +6,8 @@ resolution (CoW breaks are permanent), forking, the two pager hooks
 rule from the namespace layer.
 """
 
+import functools
+
 import pytest
 
 from repro.addressing import PageTable
@@ -35,6 +37,35 @@ class TestKeyResolution:
         assert view.is_shared_key(("shared", 1))
         assert not view.is_shared_key(("t0", 5))
         assert not view.is_shared_key(7)
+
+
+class TestReservedTenantName:
+    """A tenant named ``"shared"`` would give its private page p the key
+    ``("shared", p)``, the shared-content key, so another tenant could
+    attach to its private page and its writes would break copy-on-write
+    on private content.  Every entry point that takes a tenant name for
+    keys refuses it."""
+
+    def test_view_refuses_the_name(self):
+        pool = SharedFramePool(4)
+        with pytest.raises(ValueError, match="reserved"):
+            TenantView(pool, "shared")
+        with pytest.raises(ValueError, match="reserved"):
+            TenantView(pool, "shared", share_key=lambda page: ("x", page))
+        assert pool.views == ()
+
+    def test_fork_refuses_the_name(self):
+        pool = SharedFramePool(4)
+        parent = TenantView(pool, "parent", shared_pages=2)
+        with pytest.raises(ValueError, match="reserved"):
+            parent.fork("shared")
+        assert pool.views == (parent,)
+
+    def test_share_key_rules_refuse_the_name(self):
+        with pytest.raises(ValueError, match="reserved"):
+            default_share_key("shared", 4)
+        with pytest.raises(ValueError, match="reserved"):
+            segment_share_key("shared", {"lib"})
 
 
 class TestFrameTableInterface:
@@ -170,6 +201,28 @@ class TestFork:
         assert child.key_for(lib) == parent.key_for(lib) == ("shared", lib)
         assert parent.key_for(heap) == ("parent", heap)
         assert child.key_for(heap) == ("child", heap)
+
+    @pytest.mark.parametrize("rule", ("partial", "callable object"))
+    def test_any_callable_rule_is_resalted(self, rule):
+        """A rule without ``__qualname__`` forks like a function does."""
+
+        def split(tenant, bound, page):
+            return ("shared", page) if page < bound else (tenant, page)
+
+        class Split:
+            def __call__(self, page):
+                return split("parent", 4, page)
+
+        share_key = (functools.partial(split, "parent", 4)
+                     if rule == "partial" else Split())
+        pool = SharedFramePool(8)
+        parent = TenantView(pool, "parent", share_key=share_key)
+        child = parent.fork("child")
+        assert child.key_for(1) == parent.key_for(1) == ("shared", 1)
+        assert parent.key_for(6) == ("parent", 6)
+        assert child.key_for(6) == ("child", 6)
+        assert child.acquire(1) == parent.acquire(1)
+        assert pool.ref_count(("shared", 1)) == 2
 
     def test_forked_namespace_names_stay_stable(self):
         space = SymbolicallySegmentedNameSpace()

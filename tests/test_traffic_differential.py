@@ -16,6 +16,7 @@ from unittest import mock
 
 import pytest
 
+from repro.errors import OutOfMemory
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.serve import pool as pool_module
 from repro.traffic.engine import (
@@ -86,3 +87,37 @@ def test_tick_matches_the_reference_loop(replacement):
     # they ran: the points must both self-evict and stall.
     assert self_evictions > 0
     assert stalls > 0
+
+
+def test_refused_acquires_raise_nothing(monkeypatch):
+    """A full pool answers a session's fault without an exception.
+
+    Over saturated LRU points, every ``OutOfMemory`` constructed is a
+    refused copy-on-write break; the refused acquires, counted as pool
+    acquires that did not become faults, construct none.
+    """
+    counts = {"constructed": 0, "refused_breaks": 0}
+    init = OutOfMemory.__init__
+    cow_break = pool_module.SharedFramePool.cow_break
+
+    def counting_init(self, *args, **kwargs):
+        counts["constructed"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_cow_break(self, *args, **kwargs):
+        try:
+            return cow_break(self, *args, **kwargs)
+        except OutOfMemory:
+            counts["refused_breaks"] += 1
+            raise
+
+    monkeypatch.setattr(OutOfMemory, "__init__", counting_init)
+    monkeypatch.setattr(pool_module.SharedFramePool, "cow_break",
+                        counting_cow_break)
+    refused_acquires = 0
+    for spec in saturated_points("lru", range(20)):
+        result, stats, _ = run_capturing(simulate_traffic, spec)
+        refused_acquires += stats.acquires - result.faults
+    assert refused_acquires > 0
+    assert counts["refused_breaks"] > 0
+    assert counts["constructed"] == counts["refused_breaks"]
