@@ -16,14 +16,14 @@ order (:class:`~repro.serve.pool.SharedFramePool`).  A
 :class:`~repro.paging.frame.FrameTable` interface, so demand pagers run
 over shared frames unmodified; the shared replay driver runs each
 tenant on the fastpath kernels and sends only faults and first shared
-writes through the views (``docs/SERVING.md``); the namespace
+writes to the pool's entries (``docs/SERVING.md``); the namespace
 layer forks symbolic address spaces onto views; :mod:`repro.observe`
 carries the new Share / DedupHit / CoWBreak events; :mod:`repro.check`
 audits refcount conservation; :mod:`repro.sweep` and the benchmark
 drive the sharing-degree axis.
 """
 
-from repro.serve.pool import ServeStats, SharedFramePool
+from repro.serve.pool import REFUSED, ServeStats, SharedFramePool
 from repro.serve.replay import (
     SharedReplayResult,
     seeded_writes,
@@ -33,6 +33,7 @@ from repro.serve.replay import (
 from repro.serve.tenant import TenantStats, TenantView, default_share_key
 
 __all__ = [
+    "REFUSED",
     "ServeStats",
     "SharedFramePool",
     "SharedReplayResult",

@@ -3,41 +3,42 @@
 One physical pool of page frames serving many address spaces.  Frames
 are keyed by *content identity* — a hashable content key such as
 ``("shared", page)`` for a page every tenant maps, ``(tenant, page)``
-for a private one, or a symbolic segment name — and carry refcounts:
+for a private one, or a symbolic segment name — and carry refcounts.
+A registered :class:`~repro.serve.tenant.TenantView` resolves each of
+its pages to a content key, and the pool serves the view through three
+entries, one call each:
 
-- ``acquire(key)`` returns a frame holding that content.  If the
-  content is already resident (another tenant holds it) the refcount
-  grows — a *share*, no frame consumed, no fetch owed.  If it sits in
-  the freed-dedup pool (zero refs, still cached) the frame is revived —
-  a *dedup hit*, again no fetch owed.  Otherwise a frame is taken from
-  the free list, or reclaimed from the content freed longest ago.
-- ``release(key)`` drops one reference.  At zero the frame is not
-  wiped: it joins the freed-dedup pool, where identical content can
-  revive it until pressure reclaims it.
-- ``cow_break(shared_key, private_key)`` re-homes a writer: one
-  reference moves from the shared content to a fresh private frame
-  (copy-on-write: shared until first write).
+- ``acquire(view, page)`` pins the page's content and maps the page in
+  the view; it returns ``(frame, hit)``.  If the content is already
+  pinned (another tenant holds it) the refcount grows — a *share*, no
+  frame consumed, no fetch owed.  If it sits in the freed-dedup pool
+  (zero refs, still cached) the frame is revived — a *dedup hit*, again
+  no fetch owed.  Otherwise a frame is taken from the free list, or
+  reclaimed from the content freed longest ago.
+- ``release(view, page)`` unmaps the page and drops one reference.  At
+  zero the frame is not wiped: it joins the freed-dedup pool, where
+  identical content can revive it until pressure reclaims it.
+- ``cow_break(view, page)`` re-homes a writer: one reference moves from
+  the page's shared content to a fresh private frame, and the page
+  resolves to its private copy from then on (copy-on-write: shared
+  until first write).
+
+When every frame is pinned, ``acquire`` and ``cow_break`` answer
+:data:`REFUSED` instead of raising, so a driver that self-evicts
+retries without an exception; the view's facades turn that answer
+into ``OutOfMemory``.
 
 The pool alone keeps the serving ledger: the free list, the frame and
 owner maps, and two dicts — ``_refs`` (content key → reference count,
 deleted at zero) and ``_cached`` (zero-reference key → frame, in freed
-order, the freed-dedup pool).  The key-level operations pin through one
-claim path and drop through one unpin path.
-
-A registered :class:`~repro.serve.tenant.TenantView` faults and
-releases its pages through two view-level entries, each one call:
-
-- ``acquire_page(view, page)`` resolves the page's content key through
-  the view's key cache, pins it as ``acquire`` would, and maps the page
-  in the view.  When every frame is pinned it answers ``None`` instead
-  of raising, so a driver that self-evicts retries without an
-  exception.
-- ``release_page(view, page)`` unmaps the page and drops its reference
-  as ``release`` would.
-
-They carry their own copy of the claim and unpin rules because the
-fault path is the serving tier's hot loop; ``tests/test_view_differential.py``
-pins them, op by op, to the view and pool they replaced.
+order, the freed-dedup pool).  It is also the only writer of each
+view's side of it: the view's residency maps, its content keys after a
+break, and its ``TenantStats``.  ``acquire`` and ``release`` carry the
+claim and unpin rules inline, and ``cow_break`` carries its own copy,
+because the fault path is the serving tier's hot loop and a helper
+call there costs about 5% of traffic throughput;
+``tests/test_view_differential.py`` pins all three, op by op, to the
+view and pool they replaced.
 
 The lifecycle, the accounting rules, and the eviction policy are the
 documented serving contract — ``docs/SERVING.md``.  The refcount-
@@ -69,6 +70,12 @@ ACQUIRE_SPAN_SAMPLE = 256
 #: CoW-break span sampling: breaks are ~30× rarer than acquires, so a
 #: lighter rate keeps the sketch populated at the same overhead.
 COW_SPAN_SAMPLE = 32
+
+#: What ``acquire`` and ``cow_break`` answer when every frame is pinned.
+#: Compare it by identity.  It is a pair, like a successful acquire's
+#: ``(frame, hit)``, so a caller that reads ``answer[1]`` as the hit
+#: kind reads a refusal as no hit.
+REFUSED = (None, None)
 
 
 @dataclass(slots=True)
@@ -110,24 +117,26 @@ class SharedFramePool:
         like the mappers.
     telemetry:
         Optional :class:`~repro.observe.telemetry.TelemetryRegistry`.
-        ``acquire`` and ``acquire_page`` run under the wall-clock span
-        ``serve.acquire_seconds``, ``cow_break`` under
-        ``serve.cow_break_seconds``, and
-        the ``serve.resident_frames`` gauge tracks pinned frames —
-        attach-path instrumentation only; hits inside a tenant's own
-        view never reach the pool.  An acquire takes single-digit
-        microseconds, so timing every one would cost more than the
-        operation: the acquire span samples 1 in
-        :data:`ACQUIRE_SPAN_SAMPLE` calls (count-based, so which calls
-        are sampled is deterministic), keeping the overhead contract
-        while the sketch still sees thousands of brackets per campaign;
-        the CoW span samples 1 in :data:`COW_SPAN_SAMPLE`.
+        ``acquire`` runs under the wall-clock span
+        ``serve.acquire_seconds``, a copy-on-write break under
+        ``serve.cow_break_seconds``, and the ``serve.resident_frames``
+        gauge tracks pinned frames — attach-path instrumentation only;
+        hits inside a tenant's own view never reach the pool.  An
+        acquire takes single-digit microseconds, so timing every one
+        would cost more than the operation: the acquire span samples 1
+        in :data:`ACQUIRE_SPAN_SAMPLE` calls (count-based, so which
+        calls are sampled is deterministic), keeping the overhead
+        contract while the sketch still sees thousands of brackets per
+        campaign; the CoW span samples 1 in :data:`COW_SPAN_SAMPLE`.
 
+    >>> from repro.serve.tenant import TenantView
     >>> pool = SharedFramePool(4)
-    >>> frame, hit = pool.acquire(("shared", 7))
+    >>> alice = TenantView(pool, "alice", shared_pages=8)
+    >>> bob = alice.fork("bob")
+    >>> frame, hit = pool.acquire(alice, 7)
     >>> hit is None   # a miss: the caller owes a fetch
     True
-    >>> pool.acquire(("shared", 7))[1]   # second tenant: a share
+    >>> pool.acquire(bob, 7)[1]   # second tenant: a share
     'share'
     >>> pool.ref_count(("shared", 7))
     2
@@ -202,70 +211,22 @@ class SharedFramePool:
     # -- the serving operations --------------------------------------------
 
     def acquire(
-        self, key: Hashable, program: str | None = None
-    ) -> tuple[int, str | None]:
-        """Pin one reference to ``key``'s content; returns ``(frame, hit)``.
-
-        ``hit`` names how the acquire was satisfied without a fetch —
-        ``"share"`` (content already pinned by other references) or
-        ``"dedup"`` (a zero-ref cached frame revived by content
-        identity) — or is ``None`` for a miss, in which case the caller
-        owes a fetch into the returned frame before use.
-        """
-        span = self._acquire_span
-        if span is None or self._ops & (ACQUIRE_SPAN_SAMPLE - 1):
-            return self._acquire(key, program)
-        with span:
-            result = self._acquire(key, program)
-        self._resident_gauge.set(self.resident_count)
-        return result
-
-    def _acquire(
-        self, key: Hashable, program: str | None = None
-    ) -> tuple[int, str | None]:
-        self._ops += 1
-        stats = self.stats
-        stats.acquires += 1
-        frame = self._frame_of.get(key)
-        if frame is not None:
-            if self._cached.pop(key, None) is not None:
-                # Content-addressed revival: the frame was freed but the
-                # bytes are still there.
-                self._refs[key] = 1
-                stats.dedup_hits += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(DedupHit(
-                        time=self._time(), unit=key, where=frame,
-                        program=program,
-                    ))
-                return frame, "dedup"
-            refs = self._refs[key] + 1
-            self._refs[key] = refs
-            stats.shares += 1
-            if self.tracer.enabled:
-                self.tracer.emit(Share(
-                    time=self._time(), unit=key, where=frame, refs=refs,
-                    program=program,
-                ))
-            return frame, "share"
-        return self._claim_frame(key), None
-
-    def acquire_page(
         self, view: "TenantView", page: Hashable
-    ) -> tuple[int, str | None] | None:
+    ) -> tuple[int, str | None] | tuple[None, None]:
         """Fault ``page`` into ``view``; returns ``(frame, hit)``, or
-        ``None`` when every frame is pinned.
+        :data:`REFUSED` when every frame is pinned.
 
-        One call does what ``view.acquire_detail(page)`` did through
-        ``acquire``: the view's checks (the page already resident, the
-        view at its quota, the content key cached on first resolution,
-        one local page per key), then a share, a dedup revival, or a
-        frame from the free list or reclaimed from the content freed
-        longest ago.  Both statistics records move, and ``Share`` /
-        ``DedupHit`` events name the view's tenant.  A refused attempt
-        counts one operation and one pool acquire, keeps the cached
-        key, and changes nothing else.  The acquire span samples these
-        calls as it samples ``acquire``.
+        ``hit`` names how the content was found without a fetch —
+        ``"share"`` (already pinned by other references) or ``"dedup"``
+        (a zero-ref cached frame revived by content identity) — or is
+        ``None`` for a miss: the caller owes a fetch into the frame.
+        The view's checks come first, in this order: the page already
+        resident, the view at its quota, the content key (resolved once
+        and cached in the view), one local page per key.  Both
+        statistics records move, and ``Share`` / ``DedupHit`` events
+        name the view's tenant.  A refused attempt counts one operation
+        and one pool acquire, keeps the cached key, and changes nothing
+        else.
         """
         view_frames = view._frame_of
         if page in view_frames:
@@ -301,7 +262,8 @@ class SharedFramePool:
         frame_of = self._frame_of
         frame = frame_of.get(key)
         if frame is None:
-            # A miss: _claim_frame's rule, answering None, not raising.
+            # A miss claims a frame: the free list first, else the
+            # cached content freed longest ago, unmapped and reclaimed.
             hit = None
             if self._free:
                 frame = self._free.pop()
@@ -310,7 +272,7 @@ class SharedFramePool:
                 if not cached:
                     if timed:
                         span.stop()
-                    return None
+                    return REFUSED
                 victim = next(iter(cached))
                 frame = cached.pop(victim)
                 del frame_of[victim]
@@ -319,6 +281,8 @@ class SharedFramePool:
             frame_of[key] = frame
             self._refs[key] = 1
         elif self._cached.pop(key, None) is not None:
+            # Content-addressed revival: the frame was freed but the
+            # bytes are still there.
             self._refs[key] = 1
             stats.dedup_hits += 1
             tenant_stats.dedup_hits += 1
@@ -347,13 +311,15 @@ class SharedFramePool:
             self._resident_gauge.set(self.resident_count)
         return frame, hit
 
-    def release_page(self, view: "TenantView", page: Hashable) -> int:
+    def release(self, view: "TenantView", page: Hashable) -> int:
         """Unmap ``page`` from ``view`` and drop its reference; returns
         the frame.
 
-        One call does what ``view.release(page)`` did through
-        ``release``, with ``_unpin``'s rule: at zero references the
-        frame is parked at the back of the freed-dedup pool.
+        At zero references the frame is parked at the back of the
+        freed-dedup pool, still mapped under its key — it stays
+        revivable until reclaimed.  A drop with no reference left
+        raises: a double release, the classic refcount bug, must fail
+        loudly at the site rather than corrupt the ledger.
         """
         try:
             frame = view._frame_of.pop(page)
@@ -379,122 +345,98 @@ class SharedFramePool:
         view.stats.releases += 1
         return frame
 
-    def release(self, key: Hashable) -> int:
-        """Drop one reference to ``key``; returns its frame.
-
-        At zero references the frame enters the freed-dedup pool, still
-        mapped under ``key`` — it stays revivable until reclaimed.
-        """
-        self._ops += 1
-        frame = self._frame_of.get(key)
-        if frame is None:
-            raise KeyError(f"content {key!r} is not in the pool")
-        self._unpin(key, frame)
-        self.stats.releases += 1
-        return frame
-
     def cow_break(
-        self,
-        shared_key: Hashable,
-        private_key: Hashable,
-        program: str | None = None,
-    ) -> int:
-        """Move one reference from shared content to a private copy.
+        self, view: "TenantView", page: Hashable
+    ) -> int | None | tuple[None, None]:
+        """``view`` wrote its resident ``page``: break copy-on-write if
+        the page maps shared content.
 
-        The writer must currently hold a reference to ``shared_key``.
         Returns the fresh private frame (its content is a copy of the
-        shared frame — the simulation carries identity, not bytes).
+        shared frame — the simulation carries identity, not bytes),
+        ``None`` when the page already maps private content, or
+        :data:`REFUSED` when every frame is pinned.  One reference moves
+        from the shared key to the view's next private key,
+        :meth:`TenantView._cow_key`, and the page resolves to that key
+        from then on, across eviction and refault.  The break happens
+        even for a sole holder: written content must never be revivable
+        as the clean shared original, which parks in the freed-dedup
+        pool (and under full pinning gives up its frame in place).  A
+        refused break spends the view's break serial and changes
+        nothing else.
         """
+        view_frames = view._frame_of
+        if page not in view_frames:
+            raise KeyError(
+                f"page {page!r} is not resident for tenant {view.tenant}"
+            )
+        key = view._keys[page]
+        if not view.is_shared_key(key):
+            return None
+        view._cow_serial += 1
+        private = view._cow_key(page)
         span = self._cow_span
-        if span is None or self._ops & (COW_SPAN_SAMPLE - 1):
-            return self._cow_break(shared_key, private_key, program)
-        with span:
-            return self._cow_break(shared_key, private_key, program)
-
-    def _cow_break(
-        self,
-        shared_key: Hashable,
-        private_key: Hashable,
-        program: str | None = None,
-    ) -> int:
-        source = self._frame_of.get(shared_key)
-        if source is None or shared_key in self._cached:
-            raise KeyError(f"content {shared_key!r} is not resident")
-        if private_key in self._frame_of:
-            raise ValueError(f"private content {private_key!r} already exists")
+        timed = span is not None and not self._ops & (COW_SPAN_SAMPLE - 1)
+        if timed:
+            span.start()
+        frame_of = self._frame_of
+        if private in frame_of:
+            if timed:
+                span.stop()
+            raise ValueError(f"private content {private!r} already exists")
         self._ops += 1
-        # The writer may have been the last holder: the "shared" frame
-        # then becomes revivable cached content like any other.
-        refs = self._unpin(shared_key, source)
-        try:
-            frame = self._claim_frame(private_key)
-        except OutOfMemory:
-            # Exception safety: a refused break must not happen at all.
-            # Only the still-shared case can get here — a sole holder's
-            # own frame just became reclaimable, so _claim_frame takes
-            # that instead of raising — and its decrement is undone.
-            self._refs[shared_key] += 1
-            raise
-        self.stats.cow_breaks += 1
-        if self.tracer.enabled:
-            self.tracer.emit(CoWBreak(
-                time=self._time(), unit=shared_key, where=frame, source=source,
-                refs=refs, program=program,
-            ))
-        return frame
-
-    # -- the ledger ----------------------------------------------------------
-
-    def _claim_frame(self, key: Hashable) -> int:
-        """Pin ``key``'s first reference in a frame of its own.
-
-        The frame comes off the free list, else from the cached content
-        freed longest ago, which is unmapped and counted as a reclaim.
-        """
+        source = view_frames[page]
+        refs = self._refs
+        cached = self._cached
+        rest = refs[key] - 1
+        if rest:
+            if not self._free and not cached:
+                # Other holders still pin the shared frame and no frame
+                # is left: the break must not happen at all.
+                if timed:
+                    span.stop()
+                return REFUSED
+            refs[key] = rest
+        else:
+            # The writer was the last holder: the shared original parks
+            # at the back of the freed-dedup pool like any other
+            # zero-ref content, and is reclaimed for the private copy
+            # when no other frame is free or cached.
+            del refs[key]
+            cached[key] = source
+        stats = self.stats
         if self._free:
             frame = self._free.pop()
         else:
-            cached = self._cached
-            if not cached:
-                raise self.out_of_frames(key)
             victim = next(iter(cached))
             frame = cached.pop(victim)
-            del self._frame_of[victim]
-            self.stats.reclaims += 1
-        self._owners[frame] = key
-        self._frame_of[key] = frame
-        self._refs[key] = 1
+            del frame_of[victim]
+            stats.reclaims += 1
+        self._owners[frame] = private
+        frame_of[private] = frame
+        refs[private] = 1
+        stats.cow_breaks += 1
+        if self.tracer.enabled:
+            self.tracer.emit(CoWBreak(
+                time=self._time(), unit=key, where=frame, source=source,
+                refs=rest, program=view.tenant,
+            ))
+        if timed:
+            span.stop()
+        view._keys[page] = private
+        view_frames[page] = frame
+        page_of_key = view._page_of_key
+        del page_of_key[key]
+        page_of_key[private] = page
+        view.stats.cow_breaks += 1
         return frame
 
     def out_of_frames(self, key: Hashable) -> OutOfMemory:
-        """The error a refused claim for ``key`` raises: every frame is
-        pinned.  ``acquire_page`` answers ``None`` instead; a caller
-        that must fail raises this."""
+        """The error a refused claim for ``key`` raises where a caller
+        must fail: every frame is pinned."""
         return OutOfMemory(
             1, f"all {len(self._owners)} frames are pinned "
                f"(acquiring {key!r})"
         )
-
-    def _unpin(self, key: Hashable, frame: int) -> int:
-        """Drop one reference to ``key`` in ``frame``; returns the rest.
-
-        A drop with no reference left raises: a double release, the
-        classic refcount bug, must fail loudly at the site rather than
-        corrupt the ledger.  At zero the count is deleted and the frame
-        parked at the back of the freed-dedup pool.
-        """
-        refs = self._refs
-        count = refs.get(key, 0) - 1
-        if count > 0:
-            refs[key] = count
-            return count
-        if count < 0:
-            raise ValueError(f"refcount underflow: {key!r} has no references")
-        del refs[key]
-        if key in self._cached:
-            raise ValueError(f"content {key!r} already cached")
-        self._cached[key] = frame
-        return 0
 
     # -- inspection ----------------------------------------------------------
 
@@ -607,4 +549,4 @@ class SharedFramePool:
         )
 
 
-__all__ = ["ServeStats", "SharedFramePool"]
+__all__ = ["REFUSED", "ServeStats", "SharedFramePool"]

@@ -16,12 +16,11 @@ pool decides only how each fault is satisfied and which frame it gets.
 Phase 1 therefore replays each tenant alone through ``simulate_trace``
 and its kernel dispatch.  Phase 2 replays, in the round-robin
 ``(index, tenant)`` order, only the references that touch the pool —
-faults (evict, then acquire, one ``release_page`` and one
-``acquire_page`` call each) and each page's first write hit while its
-key is shared (the copy-on-write break, through ``note_write``) —
-merging the tenants' event streams through a heap.  Resident hits, the
-bulk of a local workload's references, never reach the view or the
-pool.
+faults (evict, then acquire, one pool ``release`` and one ``acquire``
+call each) and each page's first write hit while its key is shared
+(one ``cow_break`` call) — merging the tenants' event streams through
+a heap.  Resident hits, the bulk of a local workload's references,
+never reach the view or the pool.
 
 The differential contract this driver is pinned to
 (``tests/test_serve_differential.py``, 100 seeds): at sharing degree 1
@@ -57,7 +56,7 @@ from repro.paging.simulate import (
     record_replay_telemetry,
     simulate_trace,
 )
-from repro.serve.pool import ServeStats, SharedFramePool
+from repro.serve.pool import REFUSED, ServeStats, SharedFramePool
 from repro.serve.tenant import TenantView
 
 #: Phase-2 stream kinds, by position in a tenant's stream pair: its
@@ -270,7 +269,8 @@ def simulate_shared(
     # Both change only at events, so they integrate over the gaps.  The
     # pool's pinned count is read off its maps, as resident_count does.
     pool_keys, pool_cached = pool._frame_of, pool._cached
-    acquire_page, release_page = pool.acquire_page, pool.release_page
+    acquire, release, cow_break = pool.acquire, pool.release, pool.cow_break
+    refused = REFUSED
     shared_cycles = private_cycles = 0
     private_resident = 0
     since = 0           # the index from which the current state holds
@@ -299,15 +299,15 @@ def simulate_shared(
                 ))
             if cursor >= frames:
                 victim = victims[tenant][cursor - frames]
-                release_page(view, victim)
+                release(view, victim)
                 if tracing:
                     tracer.emit(Evict(time=index, unit=victim, program=label))
             else:
                 private_resident += 1
-            if acquire_page(view, page) is None:
+            if acquire(view, page) is refused:
                 raise pool.out_of_frames(view.key_for(page))
-        else:
-            view.note_write(page)
+        elif cow_break(view, page) is refused:
+            raise pool.out_of_frames(view._cow_key(page))
         stream = streams[number]
         cursor += 1
         cursors[number] = cursor

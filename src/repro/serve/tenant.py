@@ -10,19 +10,23 @@ extra hooks make sharing visible to a pager without rewriting it:
 - ``peek_cached(page)``: would this acquire be satisfied without a
   fetch?  The pager consults it before charging backing-store time.
 - ``note_write(page)``: a resident page was written.  If the page maps
-  shared content, the view breaks copy-on-write — a private frame is
-  materialized, the shared refcount drops — and returns the new frame
-  so the pager can remap its page table.
+  shared content, copy-on-write breaks — a private frame is
+  materialized, the shared refcount drops — and the new frame is
+  returned so the pager can remap its page table.
 
 Forking is what the shared pool exists for: ``fork()`` yields a new
 view over the same pool with the same shared mapping, so parent and
 child resolve shared pages to the same frames until one of them writes.
 
-The view keeps its page maps, but ``acquire_detail`` and ``release``
-are facades over the pool's one-call entries,
-:meth:`~repro.serve.pool.SharedFramePool.acquire_page` and
-:meth:`~repro.serve.pool.SharedFramePool.release_page`, which the
-serving drivers call directly.
+The view holds its page maps and statistics, but only the pool writes
+them: ``acquire_detail``, ``release`` and ``note_write`` are facades
+over the pool's one-call entries,
+:meth:`~repro.serve.pool.SharedFramePool.acquire`,
+:meth:`~repro.serve.pool.SharedFramePool.release` and
+:meth:`~repro.serve.pool.SharedFramePool.cow_break`, which the serving
+drivers call directly.  Where an entry answers
+:data:`~repro.serve.pool.REFUSED` (every frame pinned), its facade
+raises ``OutOfMemory``.
 
 Content keys whose first element is ``"shared"`` name common content,
 so ``"shared"`` is reserved: no tenant may take it as its name.
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from repro.alloc.base import check_int
-from repro.serve.pool import SharedFramePool
+from repro.serve.pool import REFUSED, SharedFramePool
 
 #: The first element of every shared content key; refused as a tenant
 #: name, since a tenant's private keys start with its name.
@@ -217,25 +221,25 @@ class TenantView:
     def acquire_detail(self, page: Hashable) -> tuple[int, str | None]:
         """Acquire with the hit kind: ``"share"``, ``"dedup"`` or None.
 
-        The pool's :meth:`~SharedFramePool.acquire_page` does the work.
+        The pool's :meth:`~SharedFramePool.acquire` does the work.
         Within one view, page→key must be 1:1: a ``share_key`` mapping
         two local pages to one content key is refused with
         ``ValueError`` at the second page's acquire, since its release
         would otherwise corrupt the reverse map.  When every frame is
         pinned this raises ``OutOfMemory``, where the pool entry answers
-        ``None``.
+        :data:`~repro.serve.pool.REFUSED`.
         """
-        detail = self.pool.acquire_page(self, page)
-        if detail is None:
+        detail = self.pool.acquire(self, page)
+        if detail is REFUSED:
             raise self.pool.out_of_frames(self._keys[page])
         return detail
 
     def release(self, page: Hashable) -> int:
         """Vacate ``page`` (FrameTable-compatible); returns the frame.
 
-        The pool's :meth:`~SharedFramePool.release_page` does the work.
+        The pool's :meth:`~SharedFramePool.release` does the work.
         """
-        return self.pool.release_page(self, page)
+        return self.pool.release(self, page)
 
     def frame_of(self, page: Hashable) -> int | None:
         return self._frame_of.get(page)
@@ -271,28 +275,24 @@ class TenantView:
     def note_write(self, page: Hashable) -> int | None:
         """A resident page was written; break copy-on-write if shared.
 
+        The pool's :meth:`~SharedFramePool.cow_break` does the work.
         Returns the fresh private frame when a break happened (the
         caller must remap page→frame), or None when the page already
         maps private content.  The break happens even for a sole
         holder: written content must never be revivable as the clean
-        shared original.
+        shared original.  When every frame is pinned this raises
+        ``OutOfMemory``, where the pool entry answers
+        :data:`~repro.serve.pool.REFUSED`.
         """
-        if page not in self._frame_of:
-            raise KeyError(
-                f"page {page!r} is not resident for tenant {self.tenant}"
-            )
-        key = self._keys[page]
-        if not self.is_shared_key(key):
-            return None
-        self._cow_serial += 1
-        private = (self.tenant, "cow", page, self._cow_serial)
-        frame = self.pool.cow_break(key, private, program=self.tenant)
-        self._keys[page] = private
-        self._frame_of[page] = frame
-        del self._page_of_key[key]
-        self._page_of_key[private] = page
-        self.stats.cow_breaks += 1
+        frame = self.pool.cow_break(self, page)
+        if frame is REFUSED:
+            raise self.pool.out_of_frames(self._cow_key(page))
         return frame
+
+    def _cow_key(self, page: Hashable) -> Hashable:
+        """The private key of this view's latest copy-on-write break
+        of ``page``, refused or not: the serial counts every attempt."""
+        return (self.tenant, "cow", page, self._cow_serial)
 
     def fork(self, tenant: str, quota: int | None = None) -> "TenantView":
         """A new address space sharing this view's shared mapping.

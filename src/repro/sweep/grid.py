@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator
@@ -188,8 +189,10 @@ class SweepGrid:
             if degree <= 0:
                 raise ValueError(f"sharing degree must be positive, got {degree}")
         for load in self.offered:
-            if load <= 0:
-                raise ValueError(f"offered load must be positive, got {load}")
+            if not 0 < load < math.inf:
+                raise ValueError(
+                    f"offered load must be finite and positive, got {load}"
+                )
         if self.programs <= 0:
             raise ValueError("programs must be positive")
         for field_name in ("length", "pages", "requests", "mean_lifetime",

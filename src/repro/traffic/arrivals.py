@@ -114,10 +114,13 @@ def diurnal_arrivals(
 
 
 def _validate(rate: float, horizon: int) -> None:
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    # An infinite rate never advances the clock (expovariate answers
+    # 0.0), and an infinite horizon never closes it; NaN passes every
+    # ``<=`` test.  Each would draw arrivals until memory runs out.
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and positive, got {rate}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
 
 
 #: The arrival-shape registry the CLI's ``--arrivals`` flag indexes.

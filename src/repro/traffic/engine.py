@@ -35,6 +35,7 @@ left to give stalls one tick and retries — counted, never fatal.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,10 +44,11 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable
 
-from repro.errors import InvariantViolation, OutOfMemory
+from repro.errors import InvariantViolation
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.telemetry.sketch import LogHistogram
 from repro.paging.replacement import make_policy
+from repro.serve.pool import REFUSED
 from repro.serve.tenant import SHARED
 from repro.sweep.engine import CampaignResult, coordinate
 from repro.sweep.grid import SCHEMA, derive_seed
@@ -165,12 +167,17 @@ def build_points(
     saturation.  ``overrides`` replace any sizing field
     (``pool_frames``, ``horizon``, ``watermark``, ...).
 
+    ``loads`` and ``seeds`` may be any iterables, one-shot ones
+    included: each is read once.
+
     Raises ``ValueError`` for anything that would fail every point in
-    its worker: an unknown axis value, a non-positive ``horizon`` or
-    load, sizing a session or the admission controller cannot run (see
-    :func:`_check_sizing`), or a replacement policy that sessions cannot
-    build (an unknown name, or ``opt``, which needs the trace).
+    its worker, or never finish: an unknown axis value, a load that is
+    not finite and positive, sizing a session or the admission
+    controller cannot run (see :func:`_check_sizing`), or a replacement
+    policy that sessions cannot build (an unknown name, or ``opt``,
+    which needs the trace).
     """
+    loads, seeds = tuple(loads), tuple(seeds)
     if arrivals not in ARRIVAL_PROCESSES:
         known = ", ".join(sorted(ARRIVAL_PROCESSES))
         raise ValueError(
@@ -213,8 +220,10 @@ def build_points(
     trace_refs = trace_length(trace_file) if trace_file else None
     points = []
     for offered in loads:
-        if offered <= 0:
-            raise ValueError(f"offered load must be positive, got {offered}")
+        if not 0 < offered < math.inf:
+            raise ValueError(
+                f"offered load must be finite and positive, got {offered}"
+            )
         for seed in seeds:
             spec = {
                 "schema": TRAFFIC_SCHEMA,
@@ -243,10 +252,11 @@ def _check_sizing(sizing: dict, synthetic: bool) -> None:
     would fail on.
 
     Counts are integers: frames, pages, quotas and references per tick
-    index things, and ``fetch_time`` is whole device cycles, which keeps
-    every wait an integer.  ``pages`` matters only to ``synthetic``
-    (generated, not file-backed) traces.  The admission controller
-    checks ``watermark`` and ``overcommit`` itself.
+    index things, ``horizon`` counts ticks, and ``fetch_time`` is whole
+    device cycles, which keeps every wait an integer.  ``pages`` matters
+    only to ``synthetic`` (generated, not file-backed) traces.  The
+    admission controller checks ``watermark`` and ``overcommit``
+    itself.
     """
 
     def require(field: str, ok: bool, rule: str) -> None:
@@ -261,7 +271,7 @@ def _check_sizing(sizing: dict, synthetic: bool) -> None:
         require(field, sizing[field] >= least, rule)
 
     count("pool_frames", 1, "positive")
-    require("horizon", sizing["horizon"] > 0, "positive")
+    count("horizon", 1, "positive")
     count("refs_per_tick", 1, "positive")
     quotas = sizing["quotas"]
     require("quotas", len(quotas) > 0 and all(
@@ -437,7 +447,7 @@ def simulate_traffic(
             # Load order, as the view reports it: freed order decides
             # which cached content later claims reclaim.
             for page in view.resident_pages():
-                pool.release_page(view, page)
+                pool.release(view, page)
             pool.unregister_view(view)
             committed -= session.spec.quota
             result.completed += 1
@@ -487,16 +497,19 @@ def _serve_tick(
     ``on_access``; :func:`_evict` names victims the same way.  A fault
     on a full LRU or FIFO view evicts the dict's first key here: the
     faulting page is not resident, so that is the victim :func:`_evict`
-    would pick.  Faults and evictions reach the pool in one call each,
-    ``pool.acquire_page`` and ``pool.release_page``; a full pool answers
-    the fault ``None``.  A write hit reaches the view's ``note_write``
-    only while the page's cached key is shared: a private key breaks
-    nothing.  Each hard fetch's wait is counted in ``session.waits``
-    (wait -> count), which the engine folds into ``result.fault_wait``.
+    would pick.  Faults, evictions and copy-on-write breaks reach the
+    pool in one call each, ``pool.acquire``, ``pool.release`` and
+    ``pool.cow_break``; a full pool answers a fault or a break
+    :data:`~repro.serve.pool.REFUSED`, and :func:`_evict` retries it.
+    A write hit reaches ``pool.cow_break`` only while the page's cached
+    key is shared: a private key breaks nothing.  Each hard fetch's wait
+    is counted in ``session.waits`` (wait -> count), which the engine
+    folds into ``result.fault_wait``.
     """
     view = session.view
     keys = view._keys
-    acquire_page, release_page = pool.acquire_page, pool.release_page
+    acquire, release, cow_break = pool.acquire, pool.release, pool.cow_break
+    refused = REFUSED
     resident = session.resident
     trace = session.trace
     writes = session.writes
@@ -517,13 +530,11 @@ def _serve_tick(
                 # Sessions key pages by the default rule, so a key is a
                 # tuple whose first element is SHARED exactly when it
                 # names shared content (no tenant may be named that).
-                if keys[page][0] == SHARED:
-                    try:
-                        view.note_write(page)
-                    except OutOfMemory:
-                        if _evict(session, page, position, result,
-                                  view.note_write) is _STALLED:
-                            break   # stalled: retry this reference next tick
+                if (keys[page][0] == SHARED
+                        and cow_break(view, page) is refused
+                        and _evict(session, page, position, result,
+                                   partial(cow_break, view)) is _STALLED):
+                    break   # stalled: retry this reference next tick
             if recency:
                 del resident[page]
                 resident[page] = None
@@ -536,15 +547,15 @@ def _serve_tick(
         if len(resident) >= quota:
             if policy is None:
                 victim = next(iter(resident))
-                release_page(view, victim)
+                release(view, victim)
                 del resident[victim]
                 result.evictions += 1
             else:
                 _evict(session, page, position, result)
-        detail = acquire_page(view, page)
-        if detail is None:
+        detail = acquire(view, page)
+        if detail is refused:
             detail = _evict(session, page, position, result,
-                            partial(acquire_page, view))
+                            partial(acquire, view))
             if detail is _STALLED:
                 break   # stalled: retry this reference next tick
         resident[page] = None
@@ -601,16 +612,16 @@ def _evict(
     mapped to break.
 
     Without ``attempt`` one victim is released: a fault on a full view.
-    With it, ``attempt(page)`` has just been refused.  Under overcommit
-    every frame can be pinned when a session faults (``attempt`` is
-    ``pool.acquire_page`` bound to the view, which answers ``None``) or
-    breaks copy-on-write on a shared page it writes (``view.note_write``,
-    which raises ``OutOfMemory``; a retry never answers ``None``, since
-    the page's key stays shared).  Releasing one of the
-    session's own pages does not always free a frame — a victim mapping
-    shared content still pinned by other tenants only drops a
-    refcount — so victims go until ``attempt`` succeeds, and its value
-    is returned.  When no other page is left, the session stalls: the
+    With it, ``attempt(page)`` has just answered
+    :data:`~repro.serve.pool.REFUSED`.  Under overcommit every frame
+    can be pinned when a session faults (``attempt`` is ``pool.acquire``
+    bound to the view) or breaks copy-on-write on a shared page it
+    writes (``pool.cow_break`` bound to the view; a refused break
+    leaves the page's key shared, so a retry breaks or is refused
+    again).  Releasing one of the session's own pages does not always
+    free a frame — a victim mapping shared content still pinned by
+    other tenants only drops a refcount — so victims go until
+    ``attempt`` succeeds, and its value is returned.  When no other page is left, the session stalls: the
     stall is counted and :data:`_STALLED` returned, and the session
     retries the same reference next tick, by which time some other
     session has completed and released (if *every* session stripped
@@ -618,7 +629,7 @@ def _evict(
     fail — so global progress is guaranteed).
     """
     view = session.view
-    release_page = view.pool.release_page
+    release = view.pool.release
     resident = session.resident
     policy = None if session.kernel else session.policy
     while True:
@@ -635,18 +646,15 @@ def _evict(
                 result.stalls += 1
                 return _STALLED
             victim = policy.choose_victim(others, position)
-        release_page(view, victim)
+        release(view, victim)
         del resident[victim]
         if policy is not None:
             policy.on_evict(victim)
         result.evictions += 1
         if attempt is None:
             return None
-        try:
-            outcome = attempt(page)
-        except OutOfMemory:
-            continue
-        if outcome is not None:
+        outcome = attempt(page)
+        if outcome is not REFUSED:
             return outcome
 
 

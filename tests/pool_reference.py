@@ -1,25 +1,26 @@
 """The shared frame pool and tenant view as they were before the pool
-kept its own refcounts and faulted pages in one call.
+kept its own refcounts and served views through its own entries.
 
 ``SharedFramePool`` here is ``repro.serve.pool.SharedFramePool`` as it
 stood when its refcounts lived in a ``RefCounter`` and its freed-dedup
-order in an ``LRUEvictor``, both kept below with it.  The three classes
-are kept test-only and unchanged, except that the pool takes
-``ServeStats`` and the span sample rates from ``repro.serve.pool``, so
-both pools' statistics compare equal.  ``tests/test_pool_differential.py``
-pins the pool to this oracle over random acquire, release and
-copy-on-write walks: return values, errors, statistics, events, every
-refcount and frame, the reclaim order and the telemetry must agree
-after every operation.
+order in an ``LRUEvictor``, both kept below with it, and when it
+answered content keys: ``acquire(key)``, ``release(key)`` and
+``cow_break(shared_key, private_key)``.  The three classes are kept
+test-only and unchanged, except that the pool takes ``ServeStats`` and
+the span sample rates from ``repro.serve.pool``, so both pools'
+statistics compare equal.
 
 ``TenantView`` (with ``default_share_key`` and ``_rekeyed``) is
-``repro.serve.tenant.TenantView`` as it stood when its ``acquire_detail``
-and ``release`` went through the pool's key-level ``acquire`` and
-``release``, kept unchanged over the reference pool above, except that
-it takes ``TenantStats`` from ``repro.serve.tenant``.
-``tests/test_view_differential.py`` pins the pool's view-level entries,
-``acquire_page`` and ``release_page``, and the view facades over them,
-to it.
+``repro.serve.tenant.TenantView`` as it stood when its
+``acquire_detail``, ``release`` and ``note_write`` went through those
+key-level operations, kept unchanged over the reference pool above,
+except that it takes ``TenantStats`` from ``repro.serve.tenant``.
+``tests/test_view_differential.py`` and
+``tests/test_pool_differential.py`` pin the pool's entries,
+``acquire(view, page)``, ``release(view, page)`` and
+``cow_break(view, page)``, and the view facades over them, to it: return
+values, errors, statistics, events, every refcount and frame, the
+reclaim order and the telemetry must agree after every operation.
 """
 
 from __future__ import annotations

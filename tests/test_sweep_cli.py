@@ -84,6 +84,13 @@ class TestRuns:
         record = json.loads(results.read_text().splitlines()[0])
         assert record["checked"] is True
 
+    @pytest.mark.parametrize("load", ("inf", "nan"))
+    def test_non_finite_offered_load_exits_two(self, tmp_path, capsys, load):
+        status, results = run_cli(tmp_path, "--offered", load)
+        assert status == 2
+        assert "offered load must be finite" in capsys.readouterr().err
+        assert not results.exists()
+
     def test_bad_grid_file_exits_two(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"machines": ["pdp11"]}))

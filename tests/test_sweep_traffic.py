@@ -6,6 +6,8 @@ also the derive_seed roots — the stability hazard) → the traffic leg's
 record fields → the marginal table the CLI prints.
 """
 
+import math
+
 import pytest
 
 from repro.sweep.cli import AXES, MARGINAL_HEADERS, build_parser, resolve_grid
@@ -43,6 +45,11 @@ class TestGridAxis:
     def test_nonpositive_load_rejected(self):
         with pytest.raises(ValueError, match="offered load"):
             tiny_grid(offered=(0.0,))
+
+    @pytest.mark.parametrize("load", (math.inf, math.nan))
+    def test_non_finite_load_rejected(self, load):
+        with pytest.raises(ValueError, match="offered load must be finite"):
+            tiny_grid(offered=(load,))
         with pytest.raises(ValueError):
             tiny_grid(offered=())
         with pytest.raises(ValueError):

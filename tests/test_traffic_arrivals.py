@@ -1,5 +1,7 @@
 """Arrival processes: seeded, sorted, in-horizon, mean-preserving."""
 
+import math
+
 import pytest
 
 from repro.traffic.arrivals import (
@@ -40,6 +42,14 @@ class TestEveryShape:
             make_arrivals(kind, rate=0.0, horizon=100, seed=0)
         with pytest.raises(ValueError, match="horizon"):
             make_arrivals(kind, rate=0.5, horizon=0, seed=0)
+
+    @pytest.mark.parametrize("rate, horizon", [
+        (math.inf, 100), (math.nan, 100), (0.5, math.inf), (0.5, math.nan),
+    ])
+    def test_non_finite_rate_and_horizon_rejected(self, kind, rate, horizon):
+        # Either would keep the generator drawing arrivals forever.
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            make_arrivals(kind, rate=rate, horizon=horizon, seed=0)
 
 
 class TestShapeSpecifics:

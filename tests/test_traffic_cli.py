@@ -38,6 +38,12 @@ class TestRuns:
         assert run(tmp_path, "--loads", "-1") == 2
         assert "offered load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("load", ("inf", "nan"))
+    def test_non_finite_load_is_a_usage_error(self, tmp_path, capsys, load):
+        assert run(tmp_path, "--loads", load) == 2
+        assert "offered load must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--pool-frames", "0", "pool_frames must be positive, got 0"),
         ("--horizon", "0", "horizon must be positive, got 0"),

@@ -90,11 +90,12 @@ def test_tick_matches_the_reference_loop(replacement):
 
 
 def test_refused_acquires_raise_nothing(monkeypatch):
-    """A full pool answers a session's fault without an exception.
+    """A full pool answers a session's fault or break without an
+    exception.
 
-    Over saturated LRU points, every ``OutOfMemory`` constructed is a
-    refused copy-on-write break; the refused acquires, counted as pool
-    acquires that did not become faults, construct none.
+    Over saturated LRU points, no ``OutOfMemory`` is constructed at
+    all: refused acquires, counted as pool acquires that did not become
+    faults, and refused copy-on-write breaks both answer ``REFUSED``.
     """
     counts = {"constructed": 0, "refused_breaks": 0}
     init = OutOfMemory.__init__
@@ -105,11 +106,10 @@ def test_refused_acquires_raise_nothing(monkeypatch):
         init(self, *args, **kwargs)
 
     def counting_cow_break(self, *args, **kwargs):
-        try:
-            return cow_break(self, *args, **kwargs)
-        except OutOfMemory:
+        answer = cow_break(self, *args, **kwargs)
+        if answer is pool_module.REFUSED:
             counts["refused_breaks"] += 1
-            raise
+        return answer
 
     monkeypatch.setattr(OutOfMemory, "__init__", counting_init)
     monkeypatch.setattr(pool_module.SharedFramePool, "cow_break",
@@ -120,4 +120,4 @@ def test_refused_acquires_raise_nothing(monkeypatch):
         refused_acquires += stats.acquires - result.faults
     assert refused_acquires > 0
     assert counts["refused_breaks"] > 0
-    assert counts["constructed"] == counts["refused_breaks"]
+    assert counts["constructed"] == 0

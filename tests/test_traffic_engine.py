@@ -1,5 +1,7 @@
 """The open-arrival engine: conservation laws, laziness, load behavior."""
 
+import math
+
 import pytest
 
 from repro.observe.telemetry.registry import TelemetryRegistry
@@ -65,10 +67,24 @@ class TestBuildPoints:
         ("watermark", -0.1), ("watermark", 1.5),
         ("overcommit", 0), ("overcommit", 0.5),
         ("write_fraction", 1.5),
+        ("horizon", 2.5), ("horizon", math.inf), ("horizon", math.nan),
     ])
     def test_sizing_that_fails_every_point_is_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             build_points(**{field: value})
+
+    def test_one_shot_iterables_are_read_once(self):
+        points = build_points(loads=iter((0.5, 1.0)),
+                              seeds=(seed for seed in range(2)))
+        assert [(point["offered"], point["seed"]) for point in points] == [
+            (0.5, 0), (0.5, 1), (1.0, 0), (1.0, 1)]
+
+    @pytest.mark.parametrize("load", (math.inf, -math.inf, math.nan))
+    def test_non_finite_load_rejected(self, load):
+        # An infinite rate never advances the arrival clock: the point
+        # would draw arrivals until memory ran out.
+        with pytest.raises(ValueError, match="offered load must be finite"):
+            build_points(loads=(load,))
 
     def test_smallest_accepted_sizing_runs(self):
         """The bounds are tight: one step inside each, points complete."""

@@ -1,24 +1,29 @@
-"""The pool's view-level entries pinned to the view they replaced, op by op.
+"""The pool's three serving entries pinned to the view they replaced,
+op by op.
 
-``SharedFramePool.acquire_page`` and ``release_page`` fault and release
-a tenant view's page in one call each, and ``TenantView.acquire_detail``
-and ``release`` are facades over them.  The view as it was, going
-through the pool's key-level ``acquire`` and ``release``, is kept as the
-oracle in ``tests/pool_reference.py``, over the reference pool.  Each
-seed drives both sides through the same random walk of faults,
-releases, copy-on-write writes, forks, new views and unregistrations,
-over 1 to 12 frames and views with default, custom and aliasing share
-keys, exhaustion and double releases included, with a tracer and a
-telemetry registry attached.  Faults and releases alternate between
-the pool entries and the view facades.  After every step the two sides
-must agree on the return value or the error (``None`` from
-``acquire_page`` stands for the reference's ``OutOfMemory``), the
-statistics of the pool and of every view, the events, every view's
-resident pages, frames, owners and cached keys, every refcount and
-frame owner, the reclaim order and the deterministic telemetry, and
-both must pass ``check_invariants``.  Odd seeds sample the acquire span
-on every fourth operation, so the sampled calls and the
-``serve.resident_frames`` gauge are compared often.
+``SharedFramePool.acquire``, ``release`` and ``cow_break`` fault,
+release and copy-on-write break a tenant view's page in one call each,
+and ``TenantView.acquire_detail`` (with ``acquire``), ``release`` and
+``note_write`` are facades over them.  The view as it was, going
+through the pool's key-level ``acquire``, ``release`` and
+``cow_break``, is kept as the oracle in ``tests/pool_reference.py``,
+over the reference pool.  Each seed drives both sides through the same
+random walk of faults, releases, writes, forks, new views and
+unregistrations, over 1 to 12 frames and views with default, custom and
+aliasing share keys, exhaustion, double releases and refused breaks
+included, with ``pool.now`` set now and then and a tracer and a
+telemetry registry attached.  Some views and forks reuse a live
+tenant's name, so two views can share "private" content and two
+breaks can aim at one private key.  Faults, releases and writes
+alternate between the pool entries and the view facades.  After every
+step the two sides must agree on the return value or the error
+(``REFUSED`` from ``acquire`` or ``cow_break`` stands for the
+reference's ``OutOfMemory``), the statistics of the pool and of every
+view, the events, every view's resident pages, frames, owners and
+cached keys, every refcount and frame owner, the reclaim order and the
+deterministic telemetry, and both must pass ``check_invariants``.  Odd
+seeds sample the acquire span on every fourth operation, so the sampled
+calls and the ``serve.resident_frames`` gauge are compared often.
 """
 
 import random
@@ -32,6 +37,7 @@ from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.tracer import Tracer
 from repro.serve import SharedFramePool, TenantView
 from repro.serve import pool as pool_module
+from repro.serve.pool import REFUSED
 from tests import pool_reference
 from tests.pool_reference import SharedFramePool as ReferencePool
 from tests.pool_reference import TenantView as ReferenceView
@@ -44,7 +50,9 @@ ERRORS = (KeyError, ValueError, OutOfMemory)
 
 def share_rule(kind, tenant, shared):
     """A view's share-key rule: ``None`` (the default rule), a custom
-    rule, or an aliasing one that maps page pairs to one private key."""
+    rule, an aliasing one that maps page pairs to one private key, or a
+    squatting one whose odd pages take the private key the first break
+    of the even page below would take."""
     if kind == "default":
         return None
     if kind == "custom":
@@ -53,6 +61,12 @@ def share_rule(kind, tenant, shared):
                 return ("shared", "lib", page)
             return (tenant, "seg", page)
         return custom
+    if kind == "squatting":
+        def squatting(page):
+            if page % 2:
+                return (tenant, "cow", page - 1, 1)
+            return ("shared", page)
+        return squatting
 
     def aliasing(page):
         if page < shared:
@@ -101,8 +115,8 @@ class Side:
     def fault(self, index, page, how):
         view = self.views[index]
         if how == "entry":
-            got = self.run(self.pool.acquire_page, view, page)
-            if got == ("ok", None):
+            got = self.run(self.pool.acquire, view, page)
+            if got[1] is REFUSED:
                 error = self.pool.out_of_frames(view.key_for(page))
                 return OutOfMemory, str(error)
             return got
@@ -113,8 +127,18 @@ class Side:
     def release(self, index, page, how):
         view = self.views[index]
         if how == "entry":
-            return self.run(self.pool.release_page, view, page)
+            return self.run(self.pool.release, view, page)
         return self.run(view.release, page)
+
+    def write(self, index, page, how):
+        view = self.views[index]
+        if how == "entry":
+            got = self.run(self.pool.cow_break, view, page)
+            if got[1] is REFUSED:
+                error = self.pool.out_of_frames(view._cow_key(page))
+                return OutOfMemory, str(error)
+            return got
+        return self.run(view.note_write, page)
 
     def ledger(self, keys, pages):
         """Everything observable about the pool and its views, and the
@@ -171,15 +195,22 @@ def walk(seed, steps=STEPS):
     old = Side(ReferencePool, ReferenceView, frames)
     sides = (new, old)
     live: list[int] = []        # indexes of registered views
-    names = iter(f"t{number}" for number in range(10 ** 6))
+    fresh = iter(f"t{number}" for number in range(10 ** 6))
     seen = Counter()
+
+    def name():
+        """A new tenant name, or now and then a live tenant's."""
+        if live and rng.random() < 0.2:
+            return old.views[rng.choice(live)].tenant
+        return next(fresh)
 
     def quota():
         return rng.choice((None, rng.randint(1, frames + 2)))
 
     def add_view():
-        args = (next(names), quota(), rng.randint(0, len(pages)),
-                rng.choice(("default", "default", "custom", "aliasing")))
+        args = (name(), quota(), rng.randint(0, len(pages)),
+                rng.choice(("default", "default", "custom", "aliasing",
+                            "squatting")))
         got, want = (side.new_view(*args) for side in sides)
         assert got == want
         live.append(len(old.views) - 1)
@@ -201,7 +232,7 @@ def walk(seed, steps=STEPS):
             add_view()
             continue
         if roll < 0.12:
-            args = (index, next(names), quota())
+            args = (index, name(), quota())
             got, want = (side.fork(*args) for side in sides)
             assert got == want
             live.append(len(old.views) - 1)
@@ -244,8 +275,9 @@ def walk(seed, steps=STEPS):
                 page = rng.choice(resident)
             else:
                 page = rng.choice(pages)
-            got, want = (side.run(side.views[index].note_write, page)
-                         for side in sides)
+            how = rng.choice(("entry", "view"))
+            got = new.write(index, page, how)
+            want = old.write(index, page, "view")
             op = "write"
         assert got == want, (op, index)
         for side in sides:
@@ -260,6 +292,7 @@ def walk(seed, steps=STEPS):
             kind = ("resident" if "already resident" in error
                     else "quota" if "quota" in error
                     else "alias" if "distinct key" in error
+                    else "collision" if "already exists" in error
                     else got[0].__name__)
             seen[f"{op}:{kind}"] += 1
             continue
@@ -292,9 +325,10 @@ def test_walks_reach_every_outcome(monkeypatch):
     for seed in range(20):
         seen += walk(seed)
     for kind in ("view:default", "view:custom", "view:aliasing",
-                 "fault:miss", "fault:share", "fault:dedup", "reclaim",
-                 "fault:OutOfMemory", "fault:resident", "fault:quota",
-                 "fault:alias", "release", "release:KeyError", "write",
-                 "write:KeyError", "write:OutOfMemory", "fork",
+                 "view:squatting", "fault:miss", "fault:share",
+                 "fault:dedup", "reclaim", "fault:OutOfMemory",
+                 "fault:resident", "fault:quota", "fault:alias", "release",
+                 "release:KeyError", "write", "write:KeyError",
+                 "write:OutOfMemory", "write:collision", "fork",
                  "unregister", "unregister:ValueError", "sampled"):
         assert seen[kind] > 0, kind
