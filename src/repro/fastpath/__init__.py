@@ -13,8 +13,8 @@ This package provides drop-in fast paths for that loop:
   tight loop over dict/array state instead of per-access dispatch.
   ``simulate_trace(..., fast=True)`` auto-selects them.
 - :mod:`repro.fastpath.columnar` — vectorized (numpy) replay over
-  column-backed traces (:class:`repro.trace.ColumnarTrace` and
-  array-backed :class:`repro.workload.Trace`): chunked candidate
+  column-backed traces (:class:`repro.trace.ColumnarTrace`, what every
+  generator and loader returns): chunked candidate
   scans skip resident-hit spans in bulk, with per-policy state columns
   and a single composite-sort pass for the OPT next-use column.
   ``run_fast`` tries :func:`run_columnar` first and falls back to the

@@ -1,7 +1,7 @@
 """Vectorized replay kernels over columnar traces.
 
-These kernels replay a column-backed trace (:class:`repro.trace.ColumnarTrace`
-or an array-backed :class:`repro.workload.reference.Trace`) against the
+These kernels replay a :class:`repro.trace.ColumnarTrace` — what every
+workload generator and trace loader returns — against the
 FIFO / LRU / CLOCK / Belady-OPT policies using numpy, while staying
 **bit-identical** to the reference per-access loop — the same faults,
 cold faults, fault positions, and the same victim at every eviction,
@@ -78,7 +78,6 @@ from repro.paging.replacement.clock import ClockPolicy
 from repro.paging.replacement.simple import FifoPolicy, LruPolicy
 from repro.paging.simulate import SimulationResult
 from repro.trace.columnar import ColumnarTrace
-from repro.workload.reference import Trace
 
 _UNLOADED = object()
 
@@ -94,8 +93,8 @@ def load_numpy():
     resident memory by megabytes, so the import waits for the first
     column-backed replay long enough for the columnar tier
     (``MIN_COLUMNAR_REFS`` references or ``force=True``): list-trace
-    callers such as the shared replay, and short array-backed traces
-    such as a sweep shard's, never pay for it.
+    callers such as the shared replay, and short columnar traces such
+    as a sweep shard's, never pay for it.
     """
     global _np
     if _np is _UNLOADED:
@@ -355,13 +354,11 @@ def _next_use_column(np, keys, n: int):
 def _columns_of(trace):
     """``(pages, segments, cached_spans)`` for a column-backed trace.
 
-    Exact types only, mirroring the kernel registry: a subclass may
+    Exact type only, mirroring the kernel registry: a subclass may
     change element semantics, so it falls back to the reference path.
     """
     if type(trace) is ColumnarTrace:
         return trace.pages, trace.segments, trace.cached_spans()
-    if type(trace) is Trace:
-        return trace.as_array(), None, None
     return None
 
 

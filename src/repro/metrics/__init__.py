@@ -1,8 +1,5 @@
 """Measurement helpers shared by experiments and examples.
 
-- :class:`~repro.metrics.histogram.Histogram` (with its
-  :class:`~repro.metrics.histogram.Bin` rows) — bucketed distributions
-  (hole sizes, request sizes, fault inter-arrival gaps).
 - :class:`~repro.metrics.series.TimeSeries` — sampled metric traces
   (utilization over time, fragmentation over a request stream).
 - :mod:`~repro.metrics.report` — aligned text tables
@@ -13,16 +10,14 @@
 Event-level measurement lives next door in :mod:`repro.observe`: its
 exporters render traced events and run-wide counters through these same
 table helpers, so CLI reports, examples, and experiment output all line
-up identically.
+up identically.  Distributions (request sizes, fault gaps, waits) are
+recorded in :class:`repro.observe.telemetry.LogHistogram` sketches.
 """
 
-from repro.metrics.histogram import Bin, Histogram
 from repro.metrics.report import ascii_bar, format_table, kv_table
 from repro.metrics.series import TimeSeries
 
 __all__ = [
-    "Bin",
-    "Histogram",
     "TimeSeries",
     "ascii_bar",
     "format_table",

@@ -9,8 +9,8 @@ same output path the examples and benches use.
 
 Workloads are the :mod:`repro.workload` generators by name (``phased``,
 ``sequential``, ``cyclic``, ``random``, ``zipf``, ``matrix``,
-``overlay``) or a path to a trace file saved by
-:func:`repro.workload.recorded.save_trace`.
+``overlay``) or a path to a trace file of either format, text or
+binary columnar, opened by :func:`repro.workload.load_trace`.
 
 Example::
 
@@ -37,7 +37,7 @@ WRITE_STRIDE = 16
 
 
 def make_workload(name: str, length: int, pages: int, seed: int):
-    """Resolve a workload name (or saved-trace path) to a reference list."""
+    """Resolve a workload name (or saved-trace path) to a reference string."""
     from repro.workload import (
         cyclic_trace,
         load_trace,
@@ -75,7 +75,11 @@ def make_workload(name: str, length: int, pages: int, seed: int):
         )
     path = Path(name)
     if path.exists():
-        return load_trace(path)
+        trace = load_trace(path)
+        try:
+            return trace.as_list()
+        finally:
+            trace.close()   # a binary trace file stays mapped until closed
     raise SystemExit(
         f"unknown workload {name!r}: expected one of {', '.join(WORKLOADS)} "
         f"or a path to a saved trace"

@@ -40,8 +40,8 @@ class BeladyOptimalPolicy(ReplacementPolicy):
     name = "opt"
 
     def __init__(self, trace: Sequence[Hashable]) -> None:
-        # Immutable-ish sequences (tuples, array-backed Traces, columnar
-        # traces) are referenced without copying, so building MIN over a
+        # Immutable-ish sequences (tuples, columnar traces) are
+        # referenced without copying, so building MIN over a
         # 10M-reference trace is O(1) in time and memory; mutable lists
         # and arbitrary iterables are snapshotted as before.
         if isinstance(trace, Sequence) and not isinstance(
@@ -109,6 +109,6 @@ class BeladyOptimalPolicy(ReplacementPolicy):
             return True
         if len(trace) != len(self._trace):
             return False
-        # ``==`` lets array-backed and columnar traces compare at C speed
+        # ``==`` lets columnar traces compare at C speed
         # (and Python ``==`` never returns NotImplemented to callers).
         return self._trace == trace

@@ -15,7 +15,7 @@ provides batched whole-trace kernels that are bit-identical to the loop
 below; ``fast=True`` (the default) auto-selects one when available and
 falls back to the reference loop otherwise.  Dispatch is tiered: when
 the trace is column-backed (a :class:`repro.trace.ColumnarTrace`, e.g.
-mmap'd from an ``.rtrc`` file, or an array-backed workload trace) and
+mmap'd from an ``.rtrc`` file, or any generator's trace) and
 numpy is importable, the vectorized kernels in
 :mod:`repro.fastpath.columnar` run first; they decline — returning the
 work to the list kernels — on unsupported shapes or eviction-dominated

@@ -161,7 +161,7 @@ class SharedFramePool:
         # holding its content.  Insertion order is freed order, so the
         # first key is the one freed longest ago, the next to reclaim.
         self._cached: dict[Hashable, int] = {}
-        self._views: list["TenantView"] = []
+        self._views: dict[str, "TenantView"] = {}   # live views by tenant
         self._ops = 0
         self.now: int | None = None
         """Optional externally-driven event timestamp.  A driver with a
@@ -319,28 +319,32 @@ class SharedFramePool:
         freed-dedup pool, still mapped under its key — it stays
         revivable until reclaimed.  A drop with no reference left
         raises: a double release, the classic refcount bug, must fail
-        loudly at the site rather than corrupt the ledger.
+        loudly at the site rather than corrupt the ledger.  Every guard
+        is decided before anything moves, so a refused release changes
+        no map, count or statistic.
         """
+        view_frames = view._frame_of
         try:
-            frame = view._frame_of.pop(page)
+            frame = view_frames[page]
         except KeyError:
             raise KeyError(
                 f"page {page!r} is not resident for tenant {view.tenant}"
             ) from None
         key = view._keys[page]
-        del view._page_of_key[key]
-        self._ops += 1
         refs = self._refs
         count = refs.get(key, 0) - 1
         if count > 0:
             refs[key] = count
         elif count < 0:
             raise ValueError(f"refcount underflow: {key!r} has no references")
+        elif key in self._cached:
+            raise ValueError(f"content {key!r} already cached")
         else:
             del refs[key]
-            if key in self._cached:
-                raise ValueError(f"content {key!r} already cached")
             self._cached[key] = frame
+        del view_frames[page]
+        del view._page_of_key[key]
+        self._ops += 1
         self.stats.releases += 1
         view.stats.releases += 1
         return frame
@@ -465,9 +469,17 @@ class SharedFramePool:
         The refcount-conservation invariant sums registered views'
         residencies against :attr:`ref_total`; a view acquiring frames
         outside the ledger would silently unbalance it, so views
-        register themselves at construction.
+        register themselves at construction.  Tenant names are unique
+        among the live views: a view's private and copy-on-write keys
+        carry its name, so a second live view under that name would be
+        served the first one's private pages as shares.  A name is free
+        again once its view unregisters.
         """
-        self._views.append(view)
+        if view.tenant in self._views:
+            raise ValueError(
+                f"tenant {view.tenant!r} already has a live view on this pool"
+            )
+        self._views[view.tenant] = view
 
     def unregister_view(self, view: "TenantView") -> None:
         """Retire a tenant view from the conservation ledger.
@@ -485,16 +497,15 @@ class SharedFramePool:
                 f"view {view.tenant!r} still holds {view.resident_count} "
                 f"resident pages; release them before unregistering"
             )
-        try:
-            self._views.remove(view)
-        except ValueError:
+        if self._views.get(view.tenant) is not view:
             raise ValueError(
                 f"view {view.tenant!r} is not registered with this pool"
-            ) from None
+            )
+        del self._views[view.tenant]
 
     @property
     def views(self) -> tuple["TenantView", ...]:
-        return tuple(self._views)
+        return tuple(self._views.values())
 
     # -- invariants ----------------------------------------------------------
 
@@ -534,7 +545,9 @@ class SharedFramePool:
                 f"referenced content {key!r} has no frame"
             )
             assert refs > 0, f"content {key!r} holds a count of {refs}"
-        view_resident = sum(view.resident_count for view in self._views)
+        view_resident = sum(
+            view.resident_count for view in self._views.values()
+        )
         if self._views:
             assert view_resident == self.ref_total, (
                 f"tenant views hold {view_resident} pages but the pool "

@@ -6,6 +6,9 @@ stored*:
 - :class:`~repro.trace.columnar.ColumnarTrace` — struct-of-arrays
   columns (page id, optional write flag, optional segment id) that stay
   sequence-compatible with the list traces the reference loops consume.
+  It is the one in-memory reference string: every workload generator,
+  :func:`generate_trace`, :func:`read_trace` and
+  :func:`repro.workload.load_trace` return one.
 - :mod:`~repro.trace.format` — a versioned binary on-disk format with a
   streaming writer and an mmap'd zero-copy reader (spec in
   ``docs/TRACE_FORMAT.md``).
@@ -21,7 +24,6 @@ from repro.trace.format import (
     TraceFormatError,
     TraceWriter,
     is_trace_file,
-    load,
     read_trace,
     write_trace,
 )
@@ -33,7 +35,6 @@ __all__ = [
     "TraceWriter",
     "generate_trace",
     "is_trace_file",
-    "load",
     "read_trace",
     "stream_trace",
     "write_trace",

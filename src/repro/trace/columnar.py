@@ -33,17 +33,14 @@ _PAGE_COLUMN_TYPECODE = "q"
 
 def _as_page_column(values) -> "array | memoryview":
     """Coerce ``values`` to an int64 column, sharing memory when possible."""
+    if isinstance(values, ColumnarTrace) and isinstance(values.pages, array):
+        return values.pages
     if isinstance(values, array) and values.typecode == _PAGE_COLUMN_TYPECODE:
         return values
     if isinstance(values, memoryview):
         return values if values.format == _PAGE_COLUMN_TYPECODE else array(
             _PAGE_COLUMN_TYPECODE, values.tolist()
         )
-    as_array = getattr(values, "as_array", None)
-    if as_array is not None:
-        backing = as_array()
-        if isinstance(backing, array) and backing.typecode == "q":
-            return backing
     return array(_PAGE_COLUMN_TYPECODE, values)
 
 
@@ -60,6 +57,14 @@ def _as_write_column(values, count: int) -> "array | memoryview":
             f"writes column has {len(column)} entries for {count} references"
         )
     return column
+
+
+def _same_column(first, second) -> bool:
+    """Whether two int64 columns hold the same values: two arrays
+    compare in C without a copy, a memoryview through lists."""
+    if isinstance(first, array) and isinstance(second, array):
+        return first == second
+    return first.tolist() == second.tolist()
 
 
 class _PairView(Sequence):
@@ -96,8 +101,8 @@ class ColumnarTrace(Sequence):
     ----------
     pages:
         Page ids — any iterable of ints, an ``array('q')``, an int64
-        memoryview, or a :class:`~repro.workload.reference.Trace`
-        (shared zero-copy when already machine-backed).
+        memoryview, or another trace (its page column shared zero-copy
+        when it is an array).
     writes:
         Optional per-reference write flags (one byte each).
     segments:
@@ -228,10 +233,10 @@ class ColumnarTrace(Sequence):
                 return False
             if (self._segments is None) != (other._segments is None):
                 return len(self) == 0
-            same_pages = self._tolist(self._pages) == self._tolist(other._pages)
+            same_pages = _same_column(self._pages, other._pages)
             if not same_pages or self._segments is None:
                 return same_pages
-            return self._tolist(self._segments) == self._tolist(other._segments)
+            return _same_column(self._segments, other._segments)
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
             return len(self) == len(other) and all(
                 a == b for a, b in zip(self, other)
@@ -239,10 +244,6 @@ class ColumnarTrace(Sequence):
         return NotImplemented
 
     __hash__ = None   # mutable-adjacent container: unhashable, like list
-
-    @staticmethod
-    def _tolist(column) -> list[int]:
-        return column.tolist()
 
     def __repr__(self) -> str:
         head = ", ".join(repr(self[i]) for i in range(min(len(self), 6)))
@@ -269,10 +270,6 @@ class ColumnarTrace(Sequence):
         """
         if self._segments is not None:
             return _PairView(self._segments, self._pages)
-        return self._pages
-
-    def as_array(self):
-        """The raw page column (back-compat with ``Trace.as_array``)."""
         return self._pages
 
     def as_list(self) -> list:
@@ -303,12 +300,16 @@ class ColumnarTrace(Sequence):
         writes: Iterable[int] | None = None,
         segments: Iterable[int] | None = None,
     ) -> "ColumnarTrace":
-        """Wrap an existing trace (list, ``Trace``, iterable) as columns.
+        """Wrap an existing trace (list, columnar, iterable) as columns.
 
-        A list of ``(segment, page)`` pairs is split into two columns
-        automatically when ``segments`` is not given.
+        A columnar trace is returned as it is unless ``writes`` or
+        ``segments`` are given.  A list of ``(segment, page)`` pairs is
+        split into two columns automatically when ``segments`` is not
+        given.
         """
-        if isinstance(trace, ColumnarTrace):
+        if isinstance(trace, ColumnarTrace) and (
+            writes is None and segments is None
+        ):
             return trace
         if segments is None and len(trace) and isinstance(trace[0], tuple):
             segments = array("q", (pair[0] for pair in trace))

@@ -266,9 +266,9 @@ def write_trace(
 ) -> Path:
     """Write an in-memory trace in one call (columns split automatically).
 
-    Accepts a :class:`ColumnarTrace` (its own columns are used), a
-    :class:`~repro.workload.reference.Trace`, a list of page ids, or a
-    list of ``(segment, page)`` pairs.
+    Accepts a :class:`ColumnarTrace` (its own columns are used, with
+    ``writes`` or ``segments`` attached when given), a list of page ids,
+    or a list of ``(segment, page)`` pairs.
     """
     columnar = ColumnarTrace.from_trace(trace, writes=writes, segments=segments)
     with TraceWriter(
@@ -418,20 +418,6 @@ def is_trace_file(path: str | Path) -> bool:
         return False
 
 
-def load(path: str | Path):
-    """Open a trace of either kind: binary columnar, or legacy text.
-
-    Binary files are mmap'd; text files (one page id per line, the
-    :func:`repro.workload.recorded.save_trace` format) load as a
-    :class:`ColumnarTrace` with a single page column.
-    """
-    if is_trace_file(path):
-        return read_trace(path)
-    from repro.workload.recorded import load_trace
-
-    return ColumnarTrace(load_trace(path))
-
-
 __all__ = [
     "FLAG_SEGMENTS",
     "FLAG_WRITES",
@@ -441,7 +427,6 @@ __all__ = [
     "TraceWriter",
     "VERSION",
     "is_trace_file",
-    "load",
     "read_trace",
     "write_trace",
 ]

@@ -32,7 +32,6 @@ from repro.workload.programs import (
 )
 from repro.workload.recorded import load_trace, save_trace
 from repro.workload.reference import (
-    Trace,
     cyclic_trace,
     iter_cyclic,
     iter_phased,
@@ -53,7 +52,6 @@ from repro.workload.requests import (
 
 __all__ = [
     "AllocationRequest",
-    "Trace",
     "cyclic_trace",
     "iter_cyclic",
     "iter_phased",

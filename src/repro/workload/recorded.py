@@ -9,16 +9,20 @@ experiment inputs can be archived alongside their results.
 Large traces belong in the binary columnar format instead
 (:mod:`repro.trace.format`, spec in ``docs/TRACE_FORMAT.md``): it
 streams while writing, mmaps while reading, and feeds the vectorized
-kernels zero-copy.  :func:`load_trace` sniffs the ``RTRC`` magic and
-delegates, so a call site holding a path does not need to know which
-format produced it; text stays the right choice for small, hand-edited
-or diff-reviewed traces.
+kernels zero-copy.  :func:`load_trace` opens either format, sniffing the
+``RTRC`` magic, so a call site holding a path does not need to know
+which format produced it; text stays the right choice for small,
+hand-edited or diff-reviewed traces.
 """
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from repro.trace.columnar import ColumnarTrace
 
 
 def save_trace(path: str | Path, trace: Iterable[int], header: str = "") -> int:
@@ -39,23 +43,20 @@ def save_trace(path: str | Path, trace: Iterable[int], header: str = "") -> int:
     return count
 
 
-def load_trace(path: str | Path) -> list[int]:
-    """Read a trace written by :func:`save_trace` (or by hand).
+def load_trace(path: str | Path) -> ColumnarTrace:
+    """Open a trace of either kind: binary columnar, or text.
 
-    Binary columnar trace files (``.rtrc``) are detected by magic and
-    loaded through :func:`repro.trace.read_trace`; the references come
-    back as the same plain list this function has always returned.
+    Binary files are detected by their magic and mmap'd through
+    :func:`repro.trace.read_trace`; text files (one page id per line,
+    the :func:`save_trace` format) load as a :class:`ColumnarTrace`
+    with a single page column.
     """
-    path = Path(path)
-    from repro.trace.format import is_trace_file, read_trace
+    from repro.trace import ColumnarTrace, is_trace_file, read_trace
 
+    path = Path(path)
     if is_trace_file(path):
-        columns = read_trace(path)
-        try:
-            return columns.as_list()
-        finally:
-            columns.close()
-    trace: list[int] = []
+        return read_trace(path)
+    pages = array("q")
     with path.open("r", encoding="ascii") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -71,5 +72,10 @@ def load_trace(path: str | Path) -> list[int]:
                 raise ValueError(
                     f"{path}:{line_number}: negative page number {page}"
                 )
-            trace.append(page)
-    return trace
+            if page >= 1 << 63:
+                raise ValueError(
+                    f"{path}:{line_number}: page number {page} does not "
+                    f"fit in 64 bits"
+                )
+            pages.append(page)
+    return ColumnarTrace(pages)

@@ -1,7 +1,8 @@
 """Page-reference trace generators.
 
-Each function returns a :class:`Trace` — an array-backed, list-compatible
-container of page numbers.  The phase-structured generator is the
+Each function returns a :class:`~repro.trace.ColumnarTrace` — the
+repository's one in-memory reference string — over the ``array('q')`` of
+page numbers it draws.  The phase-structured generator is the
 workhorse: programs exhibit locality — they dwell on a small working set,
 then move to another — which is the behaviour that makes "recent history
 of usage" a useful replacement guide and demand paging effective; the
@@ -19,106 +20,28 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from operator import index as _index
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
-
-class Trace(Sequence):
-    """An immutable page-reference string backed by a machine array.
-
-    Compared with a plain ``list[int]``, the backing ``array('q')`` holds
-    eight bytes per reference instead of a pointer to a boxed int —
-    roughly a 4–10× smaller footprint for long traces, which is what lets
-    the perf suite replay million-reference strings comfortably.  The
-    container compares equal to lists/tuples with the same references, so
-    existing call sites and tests are unaffected.
-
-    >>> Trace([1, 2, 3]) == [1, 2, 3]
-    True
-    >>> len(Trace([1, 2, 3])[1:])
-    2
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, references: Iterable[int] = ()) -> None:
-        data = references._data if isinstance(references, Trace) else references
-        self._data = array("q", data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            trace = Trace.__new__(Trace)
-            trace._data = self._data[index]
-            return trace
-        return self._data[index]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._data)
-
-    def __contains__(self, page: object) -> bool:
-        return page in self._data
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Trace):
-            return self._data == other._data
-        if isinstance(other, (list, tuple)):
-            return len(self._data) == len(other) and all(
-                a == b for a, b in zip(self._data, other)
-            )
-        return NotImplemented
-
-    __hash__ = None  # mutable-adjacent container: unhashable, like list
-
-    def __add__(self, other: "Trace | list[int] | tuple[int, ...]") -> "Trace":
-        joined = Trace.__new__(Trace)
-        if isinstance(other, Trace):
-            joined._data = self._data + other._data
-        else:
-            joined._data = self._data + array("q", other)
-        return joined
-
-    def __repr__(self) -> str:
-        preview = ", ".join(str(p) for p in self._data[:8])
-        ellipsis = ", ..." if len(self._data) > 8 else ""
-        return f"Trace([{preview}{ellipsis}], length={len(self._data)})"
-
-    def as_list(self) -> list[int]:
-        """Escape hatch: the trace as a plain list of ints (copies!)."""
-        return self._data.tolist()
-
-    def as_array(self) -> array:
-        """The backing ``array('q')`` itself (do not mutate)."""
-        return self._data
-
-    def replay_view(self) -> array:
-        """Zero-copy element view for per-reference replay loops.
-
-        Returns the backing array itself, so unwrapping a trace for the
-        fastpath kernels no longer doubles peak memory the way the old
-        ``as_list`` escape hatch did.
-        """
-        return self._data
-
-    def to_columnar(self, writes=None):
-        """This trace as a :class:`repro.trace.ColumnarTrace` (zero-copy)."""
-        from repro.trace import ColumnarTrace
-
-        return ColumnarTrace(self._data, writes=writes)
-
-    def to_file(self, path) -> "Path":
-        """Write this trace to ``path`` in the binary columnar format."""
-        from repro.trace.format import write_trace
-
-        return write_trace(path, self)
+if TYPE_CHECKING:
+    from repro.trace.columnar import ColumnarTrace
 
 
 def _resolve_rng(rng: random.Random | None, seed: int) -> random.Random:
     return rng if rng is not None else random.Random(seed)
+
+
+def _columnar(pages: array) -> ColumnarTrace:
+    """``pages`` wrapped, not copied, as a :class:`ColumnarTrace`.
+
+    Imported when called: :mod:`repro.trace` imports this module
+    (through :mod:`repro.trace.generate`), so a module-level import
+    would cycle.
+    """
+    from repro.trace.columnar import ColumnarTrace
+
+    return ColumnarTrace(pages)
 
 
 # Each generator is split into a validated *iterator* (the single source
@@ -138,9 +61,9 @@ def iter_sequential(pages: int, sweeps: int = 1) -> Iterator[int]:
     return chain.from_iterable(repeat(range(pages), sweeps))
 
 
-def sequential_trace(pages: int, sweeps: int = 1) -> Trace:
+def sequential_trace(pages: int, sweeps: int = 1) -> ColumnarTrace:
     """0,1,...,pages-1 repeated ``sweeps`` times (a sequential file scan)."""
-    return Trace(iter_sequential(pages, sweeps))
+    return _columnar(array("q", iter_sequential(pages, sweeps)))
 
 
 def iter_cyclic(pages: int, length: int) -> Iterator[int]:
@@ -150,12 +73,12 @@ def iter_cyclic(pages: int, length: int) -> Iterator[int]:
     return (i % pages for i in range(length))
 
 
-def cyclic_trace(pages: int, length: int) -> Trace:
+def cyclic_trace(pages: int, length: int) -> ColumnarTrace:
     """A tight loop over ``pages`` pages, ``length`` references long.
 
     The classic LRU/FIFO worst case when the loop exceeds memory.
     """
-    return Trace(iter_cyclic(pages, length))
+    return _columnar(array("q", iter_cyclic(pages, length)))
 
 
 def iter_random(
@@ -170,9 +93,11 @@ def iter_random(
 
 def random_trace(
     pages: int, length: int, seed: int = 0, rng: random.Random | None = None
-) -> Trace:
+) -> ColumnarTrace:
     """Uniformly random references — no locality at all."""
-    return Trace(iter_random(pages, length, seed=seed, rng=rng))
+    return _columnar(
+        array("q", iter_random(pages, length, seed=seed, rng=rng))
+    )
 
 
 def iter_zipf(
@@ -215,13 +140,15 @@ def zipf_trace(
     skew: float = 1.0,
     seed: int = 0,
     rng: random.Random | None = None,
-) -> Trace:
+) -> ColumnarTrace:
     """Zipf-biased references: a few pages dominate (hot code/data).
 
     ``skew`` of 0 degenerates to uniform; larger values concentrate the
     mass on low-numbered pages.
     """
-    return Trace(iter_zipf(pages, length, skew=skew, seed=seed, rng=rng))
+    return _columnar(
+        array("q", iter_zipf(pages, length, skew=skew, seed=seed, rng=rng))
+    )
 
 
 #: References per block of the phased generator: the most that
@@ -343,7 +270,7 @@ def phased_trace(
     locality: float = 0.95,
     seed: int = 0,
     rng: random.Random | None = None,
-) -> Trace:
+) -> ColumnarTrace:
     """The locality-phase model.
 
     The program dwells on a working set of ``working_set`` pages for
@@ -361,6 +288,4 @@ def phased_trace(
         locality,
     ):
         data.fromlist(block)
-    trace = Trace.__new__(Trace)
-    trace._data = data
-    return trace
+    return _columnar(data)

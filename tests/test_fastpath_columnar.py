@@ -91,7 +91,7 @@ class TestColumnarEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bit_identical_across_seeds(self, name, seed):
         trace = _trace_for_seed(seed)
-        columnar = trace.to_columnar()
+        columnar = ColumnarTrace(trace)
         frames = random.Random(seed * 31 + 7).randint(1, 24)
         reference = simulate_trace(
             trace, frames, _make_policy(name, trace),
@@ -111,7 +111,7 @@ class TestColumnarEquivalence:
         trace = phased_trace(
             64, 9000, working_set=8, phase_length=120, locality=0.97, seed=11
         )
-        columnar = trace.to_columnar()
+        columnar = ColumnarTrace(trace)
         reference = simulate_trace(
             trace, 16, _make_policy(name, trace),
             record_positions=True, record_evictions=True, fast=False,
@@ -278,7 +278,7 @@ class TestColumnarDispatchGuards:
         from repro.workload import cyclic_trace
 
         trace = cyclic_trace(3000, 80_000)
-        columnar = trace.to_columnar()
+        columnar = ColumnarTrace(trace)
         assert run_columnar(columnar, 8, FifoPolicy()) is None
         forced = run_columnar(columnar, 8, FifoPolicy(), force=True)
         via_dispatch = simulate_trace(columnar, 8, FifoPolicy())
@@ -291,7 +291,7 @@ class TestColumnarDispatchGuards:
         trace = phased_trace(
             32, 6000, working_set=6, phase_length=90, locality=0.95, seed=3
         )
-        columnar = trace.to_columnar()
+        columnar = ColumnarTrace(trace)
         assert run_columnar(columnar, 8, LruPolicy(), force=True) is None
         reference = simulate_trace(
             trace, 8, LruPolicy(),
@@ -307,7 +307,8 @@ class TestColumnarDispatchGuards:
 def test_list_replays_never_import_numpy():
     """numpy loads on the first column-backed replay long enough for the
     columnar tier, never before: not for list traces, not for a
-    ``Trace`` under ``MIN_COLUMNAR_REFS``, and not in a sweep shard."""
+    generated trace under ``MIN_COLUMNAR_REFS``, and not in a sweep
+    shard."""
     # A fresh interpreter: this test process may hold numpy already.
     script = textwrap.dedent("""
         import sys
@@ -357,7 +358,7 @@ class TestNoNumpyMatrix:
     def test_fallback_bit_identical(self, name, seed, monkeypatch):
         monkeypatch.setattr(columnar_module, "_np", None)
         trace = _trace_for_seed(seed)
-        columnar = trace.to_columnar()
+        columnar = ColumnarTrace(trace)
         frames = random.Random(seed * 31 + 7).randint(1, 24)
         reference = simulate_trace(
             trace, frames, _make_policy(name, trace),

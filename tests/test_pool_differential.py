@@ -6,10 +6,11 @@ objects, and is kept as the oracle in ``tests/pool_reference.py``, with
 the view that drove it.  Where ``tests/test_view_differential.py``
 walks the views, this walk aims at the ledger: every view maps each
 page to the content key of the same name, so a page *is* a content
-key, and two to six views, some sharing a tenant name, act on one small
+key, and two to six views, named ``"t0"`` to ``"t5"``, act on one small
 key space.  Shared keys then carry many references at once, and the
-private key a break of a shared key by a ``"t1"`` view takes can be
-pinned directly, so breaks collide as well as succeed or are refused.
+private key the first break of a shared key by the ``"t1"`` view takes
+can be pinned directly, so breaks collide as well as succeed or are
+refused.
 Each seed drives both sides through the same random walk of acquires,
 releases and copy-on-write breaks over 1 to 12 frames, exhaustion and
 unknown pages included, with ``pool.now`` set now and then; acquires
@@ -45,15 +46,15 @@ def walk(seed, steps=STEPS):
     rng = random.Random(f"pool-differential:{seed}")
     frames = rng.randint(1, 12)
     shared = [("shared", page) for page in range(frames // 2 + 2)]
-    # Private content: the keys the first break of each shared key by a
-    # "t1" view takes, and a few keys of t0's own.
+    # Private content: the keys the first break of each shared key by
+    # the "t1" view takes, and a few keys of t0's own.
     private = [("t1", "cow", key, 1) for key in shared]
     private += [("t0", page) for page in range(rng.randint(1, frames + 2))]
     pages = shared + private
     new = Side(SharedFramePool, TenantView, frames)
     old = Side(ReferencePool, ReferenceView, frames)
-    for _ in range(rng.randint(2, 6)):
-        tenant = rng.choice(("t0", "t1"))
+    for number in range(rng.randint(2, 6)):
+        tenant = f"t{number}"
         for side in (new, old):
             side.views.append(
                 side.view_cls(side.pool, tenant, share_key=identity))

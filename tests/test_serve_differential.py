@@ -161,7 +161,7 @@ def policy_factory(name, traces):
 def oracle_case(seed):
     """A seeded configuration: degree 1-4, uneven lengths, any policy.
 
-    Odd seeds keep ``phased_trace``'s array-backed ``Trace``, so the
+    Odd seeds keep ``phased_trace``'s ``ColumnarTrace``, so the
     replay reads their pages through ``replay_view()``; even seeds
     replay plain lists.
     """
@@ -244,7 +244,7 @@ def test_oracle_cases_reach_every_pool_event():
     assert all(seen.values()), seen
     assert degrees == {1, 2, 3, 4}
     assert len(policies) == len(POLICIES)
-    assert kinds == {"list", "Trace"}
+    assert kinds == {"list", "ColumnarTrace"}
 
 
 @pytest.mark.parametrize("seed", range(20))

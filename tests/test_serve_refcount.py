@@ -54,13 +54,39 @@ class TestRefCounter:
         # page, but the pool has lost its count.
         pool = SharedFramePool(2)
         view = keyed(pool)
-        pool.acquire(view, "a")
+        frame, _ = pool.acquire(view, "a")
         del pool._refs["a"]
+        ops = pool._ops
         with pytest.raises(ValueError, match="refcount underflow"):
             pool.release(view, "a")
-        # The refused release moved no count and parked nothing.
+        # The refused release moved no count and parked nothing, and the
+        # page is still resident with its frame.
         assert pool.cached_keys() == []
         assert pool.stats.releases == view.stats.releases == 0
+        assert view.resident_pages() == ["a"]
+        assert view.frame_of("a") == frame
+        assert view._page_of_key == {"a": "a"}
+        assert pool._ops == ops
+
+    def test_already_cached_raises(self):
+        # The twin guard: the page's content is pinned by the view and
+        # also parked as cached, so its last release would park it twice.
+        pool = SharedFramePool(2)
+        view = keyed(pool)
+        frame, _ = pool.acquire(view, "a")
+        pool._cached["a"] = frame
+        ops = pool._ops
+        with pytest.raises(ValueError, match="already cached"):
+            pool.release(view, "a")
+        # The refused release kept the count, and the page is still
+        # resident with its frame.
+        assert pool.ref_count("a") == 1
+        assert pool.cached_keys() == ["a"]
+        assert pool.stats.releases == view.stats.releases == 0
+        assert view.resident_pages() == ["a"]
+        assert view.frame_of("a") == frame
+        assert view._page_of_key == {"a": "a"}
+        assert pool._ops == ops
 
     def test_double_release_raises(self):
         pool = SharedFramePool(2)

@@ -68,6 +68,47 @@ class TestReservedTenantName:
             segment_share_key("shared", {"lib"})
 
 
+class TestLiveTenantNames:
+    """A view's private and copy-on-write keys carry its tenant name,
+    so two live views under one name would serve each other's private
+    pages as shares.  A pool refuses a live name, and frees it when its
+    view unregisters."""
+
+    def test_second_live_name_refused(self):
+        pool = SharedFramePool(4)
+        first = TenantView(pool, "a")
+        with pytest.raises(ValueError, match="'a' already has a live view"):
+            TenantView(pool, "a", share_key=lambda page: ("x", page))
+        assert pool.views == (first,)
+
+    def test_fork_onto_live_name_refused(self):
+        pool = SharedFramePool(4)
+        parent = TenantView(pool, "parent", shared_pages=2)
+        child = parent.fork("child")
+        for name in ("parent", "child"):
+            with pytest.raises(ValueError, match="already has a live view"):
+                parent.fork(name)
+        assert pool.views == (parent, child)
+
+    def test_name_free_again_after_unregister(self):
+        pool = SharedFramePool(4)
+        first, other = TenantView(pool, "a"), TenantView(pool, "b")
+        first.acquire(0)
+        first.release(0)
+        with pytest.raises(ValueError, match="already has a live view"):
+            TenantView(pool, "a")
+        pool.unregister_view(first)
+        second = TenantView(pool, "a")
+        assert pool.views == (other, second)     # registration order
+        second.acquire(0)
+        assert pool.ref_count(("a", 0)) == 1
+        # The retired view is not the live one under its name.
+        with pytest.raises(ValueError, match="not registered"):
+            pool.unregister_view(first)
+        assert pool.views == (other, second)
+        pool.check_invariants()
+
+
 class TestFrameTableInterface:
     def test_acquire_release_round_trip(self):
         pool = SharedFramePool(4)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.observe.telemetry.sketch import DEFAULT_SUBBUCKETS, LogHistogram
+from repro.workload import exponential_requests
 
 
 class TestLogHistogramRecording:
@@ -320,3 +321,16 @@ class TestLogHistogramSerialization:
             LogHistogram.from_dict({"subbuckets": 16, "counts": "nope",
                                     "zeros": 0, "count": 0, "sum": 0,
                                     "min": None, "max": None})
+
+
+class TestOnRequestStreams:
+    def test_exponential_sizes_are_skewed(self):
+        """The distributional fact Wald-style analysis rests on."""
+        requests = exponential_requests(2_000, mean_size=200,
+                                        mean_lifetime=50, seed=3)
+        sketch = LogHistogram()
+        sketch.observe_many([request.size for request in requests])
+        # Most mass in the lowest tenth of the range; a long thin tail.
+        low_tenth = sketch.minimum + (sketch.maximum - sketch.minimum) / 10
+        assert sketch.quantile(1 / 3) < low_tenth
+        assert sketch.quantile(0.5) < sketch.mean

@@ -24,12 +24,11 @@ from repro.trace import (
     TraceFormatError,
     TraceWriter,
     is_trace_file,
-    load,
     read_trace,
     write_trace,
 )
 from repro.trace.format import HEADER_SIZE, MAGIC, VERSION
-from repro.workload import phased_trace, save_trace
+from repro.workload import load_trace, phased_trace, save_trace
 
 
 COLUMN_COMBOS = [
@@ -102,7 +101,7 @@ class TestRoundTrip:
 
     def test_trace_to_file_method(self, tmp_path):
         trace = phased_trace(30, 800, seed=9)
-        path = trace.to_file(tmp_path / "via-method.rtrc")
+        path = write_trace(tmp_path / "via-method.rtrc", trace)
         assert is_trace_file(path)
         back = read_trace(path)
         assert back == trace.as_list()
@@ -253,10 +252,12 @@ class TestWriterContract:
 
 
 class TestLoadDispatch:
+    """``repro.workload.load_trace`` opens either format."""
+
     def test_load_reads_binary(self, tmp_path):
         trace = phased_trace(20, 400, seed=1)
         path = write_trace(tmp_path / "bin.rtrc", trace)
-        loaded = load(path)
+        loaded = load_trace(path)
         assert loaded == trace.as_list()
         loaded.close()
 
@@ -264,5 +265,5 @@ class TestLoadDispatch:
         trace = phased_trace(20, 200, seed=1)
         path = tmp_path / "legacy.trace"
         save_trace(path, trace)
-        loaded = load(path)
+        loaded = load_trace(path)
         assert list(loaded) == trace.as_list()

@@ -12,9 +12,9 @@ random walk of faults, releases, writes, forks, new views and
 unregistrations, over 1 to 12 frames and views with default, custom and
 aliasing share keys, exhaustion, double releases and refused breaks
 included, with ``pool.now`` set now and then and a tracer and a
-telemetry registry attached.  Some views and forks reuse a live
-tenant's name, so two views can share "private" content and two
-breaks can aim at one private key.  Faults, releases and writes
+telemetry registry attached.  Now and then a new view or a fork picks
+a live tenant's name: the pool refuses it, which the reference pool did
+not, and the step is skipped on both sides.  Faults, releases and writes
 alternate between the pool entries and the view facades.  After every
 step the two sides must agree on the return value or the error
 (``REFUSED`` from ``acquire`` or ``cow_break`` stands for the
@@ -204,6 +204,17 @@ def walk(seed, steps=STEPS):
             return old.views[rng.choice(live)].tenant
         return next(fresh)
 
+    def refused(tenant, make):
+        """Whether ``tenant`` names a live view; if so, the new side
+        must refuse the view ``make`` builds, and the step is skipped."""
+        if tenant not in {view.tenant for view in new.pool.views}:
+            return False
+        assert make() == (
+            ValueError, f"tenant {tenant!r} already has a live view on "
+                        f"this pool")
+        seen["name:refused"] += 1
+        return True
+
     def quota():
         return rng.choice((None, rng.randint(1, frames + 2)))
 
@@ -211,6 +222,8 @@ def walk(seed, steps=STEPS):
         args = (name(), quota(), rng.randint(0, len(pages)),
                 rng.choice(("default", "default", "custom", "aliasing",
                             "squatting")))
+        if refused(args[0], lambda: new.new_view(*args)):
+            return
         got, want = (side.new_view(*args) for side in sides)
         assert got == want
         live.append(len(old.views) - 1)
@@ -233,6 +246,8 @@ def walk(seed, steps=STEPS):
             continue
         if roll < 0.12:
             args = (index, name(), quota())
+            if refused(args[1], lambda: new.fork(*args)):
+                continue
             got, want = (side.fork(*args) for side in sides)
             assert got == want
             live.append(len(old.views) - 1)
@@ -330,5 +345,6 @@ def test_walks_reach_every_outcome(monkeypatch):
                  "fault:resident", "fault:quota", "fault:alias", "release",
                  "release:KeyError", "write", "write:KeyError",
                  "write:OutOfMemory", "write:collision", "fork",
-                 "unregister", "unregister:ValueError", "sampled"):
+                 "unregister", "unregister:ValueError", "name:refused",
+                 "sampled"):
         assert seen[kind] > 0, kind

@@ -44,6 +44,12 @@ class TestTracePersistence:
         with pytest.raises(ValueError):
             load_trace(path)
 
+    def test_page_beyond_64_bits_rejected_on_load(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text(f"1\n{2 ** 63}\n")
+        with pytest.raises(ValueError, match=":2: page number .* 64 bits"):
+            load_trace(path)
+
     def test_bad_entries_rejected_on_save(self, tmp_path):
         path = tmp_path / "trace.txt"
         with pytest.raises(TypeError):

@@ -25,7 +25,8 @@ import random
 from operator import itemgetter
 from typing import Iterator
 
-from repro.workload.reference import Trace, _resolve_rng
+from repro.trace import ColumnarTrace
+from repro.workload.reference import _resolve_rng
 from repro.workload.requests import AllocationRequest
 
 
@@ -66,7 +67,7 @@ def phased_trace(
     locality: float = 0.95,
     seed: int = 0,
     rng: random.Random | None = None,
-) -> Trace:
+) -> ColumnarTrace:
     """The locality-phase model.
 
     The program dwells on a working set of ``working_set`` pages for
@@ -77,7 +78,7 @@ def phased_trace(
     well-defined: give a program ≥ ``working_set`` frames and faults are
     rare; give it fewer and Figure 3's waiting dominates.
     """
-    return Trace(iter_phased(
+    return ColumnarTrace(iter_phased(
         pages,
         length,
         working_set=working_set,
