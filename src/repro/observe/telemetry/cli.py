@@ -5,8 +5,9 @@ into the dashboard frame (``top``) or OpenMetrics text
 (``metrics-export``).  The snapshot source is either:
 
 - ``--snapshot FILE`` — a JSON file holding a registry snapshot, or a
-  sweep heartbeat file (``<results>.telemetry.json``, written by
-  ``run_sweep`` as shards land) whose ``telemetry`` field is one; or
+  sweep heartbeat file (``<results>.telemetry.json``, rewritten by
+  ``run_sweep`` at most every 250 ms as shards land) whose
+  ``telemetry`` field is one; or
 - nothing — a built-in deterministic demo workload (a drum-backed
   demand pager, a fast replay, and a three-tenant shared pool, all
   seeded) runs on the spot, so both commands work on a bare checkout
@@ -99,7 +100,7 @@ def demo_registry(seed: int = 1967) -> TelemetryRegistry:
 def load_snapshot(path: str) -> tuple[dict, dict]:
     """``(snapshot, header)`` from a snapshot or heartbeat JSON file.
 
-    A heartbeat file (``run_sweep``'s per-shard progress record) carries
+    A heartbeat file (a campaign's latest progress record) carries
     the registry snapshot under ``telemetry`` plus progress fields,
     which come back as the header; a bare snapshot has no header.
     """

@@ -52,6 +52,14 @@ from repro.sweep.transport import Runner, Transport, make_transport
 assert set(TERMINAL_STATES) == {"finished", "aborted"}, \
     "coordinate stamps exactly these terminal heartbeat states"
 
+#: The least monotonic time between two running heartbeats.  A failure
+#: beats at once and the terminal beat always lands, whatever the clock.
+HEARTBEAT_INTERVAL_S = 0.25
+
+#: The heartbeat cadence's clock, read through this module so tests can
+#: replace it the way they replace ``run_shard_safely``.
+clock = time.monotonic
+
 
 def read_results(
     path: str | Path, sweep: str | None = None,
@@ -159,8 +167,11 @@ def coordinate(
     into a record (returning failures as records, never raising).
     Everything else is documented on :func:`run_sweep`: resume reads
     the prior records, each fresh record is appended through
-    :class:`~repro.sweep.checkpoint.CheckpointWriter` and followed by a
-    heartbeat, and a terminal heartbeat lands from a ``finally`` block.
+    :class:`~repro.sweep.checkpoint.CheckpointWriter` before anything
+    else learns of it, a running heartbeat lands at most once per
+    :data:`HEARTBEAT_INTERVAL_S` of :data:`clock` time and at once on
+    every failure, and a terminal heartbeat lands from a ``finally``
+    block.
     """
     started = time.perf_counter()
     if workers <= 0:
@@ -192,6 +203,7 @@ def coordinate(
         writer = CheckpointWriter(results_path)
         beat = heartbeat_path(results_path)
     done = 0
+    last_beat = float("-inf")
     state = "aborted"
     try:
         for record in carrier.run(pending):
@@ -206,9 +218,14 @@ def coordinate(
                     # One string, one write — durable before anything
                     # downstream (heartbeat, progress) learns of it.
                     writer.append(record)
+            if writer is not None:
+                now = clock()
+                if ("error" in record
+                        or now - last_beat >= HEARTBEAT_INTERVAL_S):
                     write_heartbeat(beat, name, done, len(pending),
                                     len(failures), telemetry,
                                     name_field=name_field)
+                    last_beat = now
             if progress is not None:
                 progress(done, len(pending), record)
         state = "finished"
@@ -273,14 +290,18 @@ def run_sweep(
         bit-identical across all of them.
 
     With a ``results_path``, a live heartbeat lands next to it at
-    ``<results_path>.telemetry.json`` after every fresh shard: progress
-    scalars plus the merged telemetry snapshot so far, written
-    atomically so ``python -m repro top --snapshot`` can follow the
-    campaign from another terminal.  A final heartbeat always lands
-    from a ``finally`` block with a terminal ``state`` —
-    ``"finished"`` when the campaign ran to completion (failed shards
-    included), ``"aborted"`` when the coordinator died mid-campaign —
-    so followers see a dead campaign as dead, never as live forever.
+    ``<results_path>.telemetry.json``: progress scalars plus the merged
+    telemetry snapshot so far, written atomically so ``python -m repro
+    top --snapshot`` can follow the campaign from another terminal.  A
+    running beat lands at most once per :data:`HEARTBEAT_INTERVAL_S`
+    (250 ms) as shards land, and at once when a shard fails, so it
+    lacks at most the shards that landed in the 250 ms after it was
+    written, and a follower sees every failure as it happens.  A final
+    heartbeat always lands from a ``finally`` block with a terminal
+    ``state`` — ``"finished"`` when the campaign ran to completion
+    (failed shards included), ``"aborted"`` when the coordinator died
+    mid-campaign — so followers see a dead campaign as dead, never as
+    live forever, and its telemetry holds every record.
     """
     campaign = coordinate(
         [shard.spec(checked=checked) for shard in grid.shards()],
@@ -327,10 +348,10 @@ def write_heartbeat(
     the marker that tells followers to stop waiting.  Heartbeats are
     best-effort: an unwritable path must not fail the campaign, so OS
     errors are swallowed — but the side file must not outlive a failed
-    publish.  A campaign heartbeats after every record; if the replace
-    step fails persistently (target directory vanished, permissions
-    flipped), leaking one ``.tmp`` per beat litters the results
-    directory, so cleanup rides a ``finally``.
+    publish.  A campaign beats up to four times a second and on every
+    failure; if the replace step fails persistently (target directory
+    vanished, permissions flipped), leaking one ``.tmp`` per beat
+    litters the results directory, so cleanup rides a ``finally``.
     """
     payload = {
         name_field: name,
@@ -392,6 +413,7 @@ def marginals(records: list[dict], axis: str) -> list[tuple]:
 
 
 __all__ = [
+    "HEARTBEAT_INTERVAL_S",
     "NONDETERMINISTIC_FIELDS",
     "TERMINAL_STATES",
     "CampaignResult",

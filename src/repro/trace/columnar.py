@@ -113,6 +113,8 @@ class ColumnarTrace(Sequence):
     source:
         Opaque owner of the column buffers (an open mmap, say), kept
         alive for the trace's lifetime and closed by :meth:`close`.
+        A slice has none: it borrows its parent's buffers, which its
+        own memoryviews keep alive, so closing it never closes them.
 
     >>> ColumnarTrace([1, 2, 3]) == [1, 2, 3]
     True
@@ -211,7 +213,6 @@ class ColumnarTrace(Sequence):
                 self._pages[index],
                 writes=None if self._writes is None else self._writes[index],
                 segments=None if self._segments is None else self._segments[index],
-                source=self._source,
             )
         if self._segments is not None:
             return (self._segments[index], self._pages[index])

@@ -341,8 +341,13 @@ class _MappedFile:
         for view in self._views:
             view.release()
         self._views.clear()
-        self._map.close()
         self._file.close()
+        try:
+            self._map.close()
+        except BufferError:
+            # A live slice's memoryviews still export the mapping; it
+            # is unmapped when the last of them is dropped.
+            pass
 
 
 def read_trace(path: str | Path, use_mmap: bool = True) -> ColumnarTrace:

@@ -790,10 +790,11 @@ def run_campaign(
     record, ``resume=True`` skips points already recorded for the same
     campaign name, a worker that dies hard is retried on a fresh pool
     instead of hanging the campaign, and a heartbeat at
-    ``<results_path>.telemetry.json`` ends in a ``finished`` or
-    ``aborted`` state.  Merged telemetry folds resumed records in, so
-    campaign totals are independent of how many runs it took — and of
-    ``workers``.
+    ``<results_path>.telemetry.json`` lands at most once per 250 ms
+    while points land, at once when a point fails, and always at the
+    end, in a ``finished`` or ``aborted`` state.  Merged telemetry
+    folds resumed records in, so campaign totals are independent of
+    how many runs it took — and of ``workers``.
     """
     return coordinate(
         points,

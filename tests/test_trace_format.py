@@ -14,7 +14,9 @@ Spec in ``docs/TRACE_FORMAT.md``.  The invariants pinned here:
 
 from __future__ import annotations
 
+import gc
 import struct
+import weakref
 
 import pytest
 
@@ -121,6 +123,56 @@ class TestRoundTrip:
         finally:
             mapped.close()
             in_memory.close()
+
+
+class TestSliceLifetime:
+    """A slice of an mmap'd trace borrows the mapping and never closes
+    it; the mapping is unmapped when the parent and every slice are
+    done with it, in either closing order."""
+
+    @staticmethod
+    def _mapped(tmp_path, combo):
+        pages, writes, segments = _sample_columns(600, seed=3)
+        path = write_trace(
+            tmp_path / "sliced.rtrc", pages,
+            writes=writes if combo["writes"] else None,
+            segments=segments if combo["segments"] else None,
+        )
+        expected = list(zip(segments, pages)) if combo["segments"] else pages
+        return read_trace(path), expected
+
+    @pytest.mark.parametrize("combo", COLUMN_COMBOS)
+    def test_closing_a_slice_leaves_the_parent_open(self, tmp_path, combo):
+        trace, expected = self._mapped(tmp_path, combo)
+        head = trace[:10]
+        assert list(head) == expected[:10]
+        head.close()
+        assert trace[5] == expected[5]
+        assert list(trace) == expected
+        if combo["writes"]:
+            assert trace.write_flags()[:4] == [True, False, False, True]
+        trace.close()
+
+    @pytest.mark.parametrize("combo", COLUMN_COMBOS)
+    def test_closing_the_parent_while_slices_live(self, tmp_path, combo):
+        trace, expected = self._mapped(tmp_path, combo)
+        head = trace[:10]
+        middle = head[2:5]
+        # The reader's private handles: the file object, and the mmap
+        # that the slices' memoryviews keep alive.
+        handle = trace._source._file
+        mapping = weakref.ref(trace._source._map)
+        trace.close()                     # must not raise BufferError
+        assert handle.closed
+        assert list(head) == expected[:10]
+        assert list(middle) == expected[2:5]
+        head.close()
+        gc.collect()
+        assert mapping() is not None      # ``middle`` still reads it
+        assert list(middle) == expected[2:5]
+        middle.close()
+        gc.collect()
+        assert mapping() is None          # released with the last slice
 
 
 class TestRejection:
